@@ -75,38 +75,55 @@ let charge t n =
   if n > 0 && t.lock_overhead > 0. then
     t.charge_fn (float_of_int n *. t.lock_overhead)
 
-(* FNV-1a over a canonical rendering of one meta. Stable across runs,
-   unlike the polymorphic Hashtbl.hash contract. *)
+(* One FNV-1a step over a whole word. OCaml's int arithmetic wraps, and
+   both the xor and the multiply by an odd prime are bijections, so two
+   inputs of the same length that differ in one word never hash alike. *)
+let[@inline] mix h v = (h lxor v) * 0x100000001b3
+
+(* All 64 bits of a float, as two 32-bit halves. *)
+let[@inline] mix_float h f =
+  let b = Int64.bits_of_float f in
+  mix
+    (mix h (Int64.to_int (Int64.logand b 0xFFFF_FFFFL)))
+    (Int64.to_int (Int64.shift_right_logical b 32))
+
+(* Stable hash of one meta's fields, read directly: no intermediate
+   string and no boxed value, since every applied update pays it. The
+   final xor-shift/multiply rounds spread the bits so the xor of many
+   entry hashes stays well mixed. *)
 let meta_hash (m : Meta.t) =
-  let s =
-    Printf.sprintf "%s|%d|%d|%.17g|%.17g|%s" m.Meta.key m.Meta.owner
-      m.Meta.size m.Meta.exec_time m.Meta.created
-      (match m.Meta.expires with
-      | None -> "-"
-      | Some e -> Printf.sprintf "%.17g" e)
+  let key = m.Meta.key in
+  let h = ref (mix 0x811c9dc5 (String.length key)) in
+  for i = 0 to String.length key - 1 do
+    h := mix !h (Char.code (String.unsafe_get key i))
+  done;
+  let h = mix (mix !h m.Meta.owner) m.Meta.size in
+  let h = mix_float (mix_float h m.Meta.exec_time) m.Meta.created in
+  let h =
+    match m.Meta.expires with
+    | None -> mix_float (mix h 0) 0.
+    | Some e -> mix_float (mix h 1) e
   in
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0x3FFFFFFFFFFFFFF)
-    s;
-  !h
+  let h = (h lxor (h lsr 31)) * 0x3fb5d329728ea185 in
+  let h = (h lxor (h lsr 27)) * 0x01dadef4bc2dd44d in
+  h lxor (h lsr 33)
 
 let hint_add t ~node key =
   match t.hints with
   | None -> ()
   | Some h ->
-      let mask = Option.value (Hashtbl.find_opt h key) ~default:0 in
+      let mask =
+        match Hashtbl.find h key with m -> m | exception Not_found -> 0
+      in
       Hashtbl.replace h key (mask lor (1 lsl node))
 
 let hint_remove t ~node key =
   match t.hints with
   | None -> ()
   | Some h -> (
-      match Hashtbl.find_opt h key with
-      | None -> ()
-      | Some mask ->
+      match Hashtbl.find h key with
+      | exception Not_found -> ()
+      | mask ->
           let mask = mask land lnot (1 lsl node) in
           if mask = 0 then Hashtbl.remove h key
           else Hashtbl.replace h key mask)
@@ -123,45 +140,47 @@ let scan_charge t tbl =
     t.charge_fn
       (float_of_int (Stdlib.max 1 (Hashtbl.length tbl.entries)) *. t.scan_cost)
 
-(* Run [f] on [tbl] with read (or write) protection per granularity. The
-   lock-operation cost is charged while the lock is held (the probe scans
-   the table under its lock), so a single global lock serialises all that
+(* The lock guarding [tbl] under the directory's granularity. *)
+let table_lock t tbl =
+  match t.gran with Global -> t.global_lock | Per_table | Per_entry -> tbl.lock
+
+(* The cost of a held lock, charged while it is held (the probe scans the
+   table under its lock), so a single global lock serialises all that
    scan time — the contention the paper's §4.2 argument predicts. *)
-let with_table_rd t tbl f =
+let charge_held t tbl acquisitions =
+  charge t acquisitions;
+  scan_charge t tbl
+
+(* Lock acquisitions a read probe pays: one, except under Per_entry,
+   which pays one per entry scanned in this probe. *)
+let rd_acquisitions t tbl =
   match t.gran with
-  | Global ->
-      Sim.Rwlock.with_rd t.global_lock (fun () ->
-          charge t 1;
-          scan_charge t tbl;
-          f ())
-  | Per_table ->
-      Sim.Rwlock.with_rd tbl.lock (fun () ->
-          charge t 1;
-          scan_charge t tbl;
-          f ())
+  | Global | Per_table -> 1
   | Per_entry ->
-      (* One acquisition per entry scanned in this probe. *)
       let scanned = Stdlib.max 1 (Hashtbl.length tbl.entries) in
       t.extra_rd <- t.extra_rd + scanned - 1;
-      Sim.Rwlock.with_rd tbl.lock (fun () ->
-          charge t scanned;
-          scan_charge t tbl;
-          f ())
+      scanned
 
-let with_table_wr t tbl f =
-  let lock =
-    match t.gran with Global -> t.global_lock | Per_table | Per_entry -> tbl.lock
-  in
-  Sim.Rwlock.with_wr lock (fun () ->
-      charge t 1;
-      scan_charge t tbl;
-      f ())
-
+(* Locked operations lock, charge and unlock inline rather than through
+   a [with_lock] helper, whose closure every applied update would
+   allocate. The lock is released if the charge raises. *)
 let probe t tbl ~now key =
-  with_table_rd t tbl (fun () ->
-      match Hashtbl.find_opt tbl.entries key with
-      | Some meta when not (Meta.expired meta ~now) -> Some meta
-      | Some _ | None -> None)
+  let acquisitions = rd_acquisitions t tbl in
+  let lock = table_lock t tbl in
+  Sim.Rwlock.rd_lock lock;
+  match
+    charge_held t tbl acquisitions;
+    Hashtbl.find_opt tbl.entries key
+  with
+  | Some meta as hit when not (Meta.expired meta ~now) ->
+      Sim.Rwlock.rd_unlock lock;
+      hit
+  | Some _ | None ->
+      Sim.Rwlock.rd_unlock lock;
+      None
+  | exception e ->
+      Sim.Rwlock.rd_unlock lock;
+      raise e
 
 (* Scan the probe chain [order] from position [from], skipping any table
    whose bit is set in [skip] (already probed). Returns the hit's table
@@ -229,21 +248,23 @@ let lookup t ~now key = lookup_from t ~self:0 ~now key
 (* The unlocked bodies below keep [digest_xor] and the hint index in step
    with [entries]; every mutation of a table goes through one of them. *)
 let insert_unlocked t tbl ~node meta =
-  (match Hashtbl.find_opt tbl.entries meta.Meta.key with
-  | Some old -> tbl.digest_xor <- tbl.digest_xor lxor meta_hash old
-  | None -> ());
+  let key = meta.Meta.key in
+  (match Hashtbl.find tbl.entries key with
+  | old ->
+      tbl.digest_xor <- tbl.digest_xor lxor meta_hash old;
+      Hashtbl.replace tbl.entries key meta
+  | exception Not_found -> Hashtbl.add tbl.entries key meta);
   tbl.digest_xor <- tbl.digest_xor lxor meta_hash meta;
-  Hashtbl.replace tbl.entries meta.Meta.key meta;
-  hint_add t ~node meta.Meta.key
+  hint_add t ~node key
 
 let delete_unlocked t tbl ~node key =
-  match Hashtbl.find_opt tbl.entries key with
-  | Some old ->
+  match Hashtbl.find tbl.entries key with
+  | old ->
       tbl.digest_xor <- tbl.digest_xor lxor meta_hash old;
       Hashtbl.remove tbl.entries key;
       hint_remove t ~node key;
       true
-  | None -> false
+  | exception Not_found -> false
 
 let wipe_unlocked t tbl ~node =
   let n = Hashtbl.length tbl.entries in
@@ -252,31 +273,51 @@ let wipe_unlocked t tbl ~node =
   tbl.digest_xor <- 0;
   n
 
-let insert t ~node meta =
+(* Take [node]'s table for writing: the lock, then its charge. Only the
+   charge can raise (a caller's [charge], or [Engine.delay] outside a
+   process), so the lock is released on that path here; the unlocked
+   bodies that run under it cannot raise and release it directly. *)
+let wr_acquire t ~node =
   check_node t node;
   let tbl = t.tables.(node) in
-  with_table_wr t tbl (fun () -> insert_unlocked t tbl ~node meta)
+  let lock = table_lock t tbl in
+  Sim.Rwlock.wr_lock lock;
+  (match charge_held t tbl 1 with
+  | () -> ()
+  | exception e ->
+      Sim.Rwlock.wr_unlock lock;
+      raise e);
+  tbl
+
+let wr_release t tbl = Sim.Rwlock.wr_unlock (table_lock t tbl)
+
+let insert t ~node meta =
+  let tbl = wr_acquire t ~node in
+  insert_unlocked t tbl ~node meta;
+  wr_release t tbl
 
 let delete t ~node key =
-  check_node t node;
-  let tbl = t.tables.(node) in
-  with_table_wr t tbl (fun () -> delete_unlocked t tbl ~node key)
+  let tbl = wr_acquire t ~node in
+  let found = delete_unlocked t tbl ~node key in
+  wr_release t tbl;
+  found
 
 let purge_node t ~node =
-  check_node t node;
-  let tbl = t.tables.(node) in
-  with_table_wr t tbl (fun () -> wipe_unlocked t tbl ~node)
+  let tbl = wr_acquire t ~node in
+  let n = wipe_unlocked t tbl ~node in
+  wr_release t tbl;
+  n
 
 let reset_node t ~node =
   check_node t node;
   wipe_unlocked t t.tables.(node) ~node
 
 let touch t ~node key ~now =
-  check_node t node;
-  let tbl = t.tables.(node) in
-  with_table_wr t tbl (fun () ->
-      tbl.last_touch <- now;
-      Hashtbl.mem tbl.entries key)
+  let tbl = wr_acquire t ~node in
+  tbl.last_touch <- now;
+  let found = Hashtbl.mem tbl.entries key in
+  wr_release t tbl;
+  found
 
 let entries t ~node =
   check_node t node;

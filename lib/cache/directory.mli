@@ -108,6 +108,10 @@ val find : t -> node:int -> string -> Meta.t option
 
 (** [digest t ~node] is [(count, hash)] over one table's content: the
     entry count plus an order-independent XOR of stable per-entry hashes.
+    An entry's hash covers the raw bits of every meta field (the key
+    bytes, [owner], [size], all 64 bits of [exec_time], [created] and
+    [expires], and whether [expires] is set), read directly rather than
+    through a printed rendering, so no string is built per update.
     Two replicas of a table agree element-wise iff (modulo the usual hash
     caveat) their digests agree — the anti-entropy daemon's comparison.
     Pure: takes no locks and charges no simulated time (the daemon charges

@@ -38,44 +38,46 @@ let info_sync ?(span = 0) net endpoints ~src msg =
   done;
   !sent
 
+(* Unicasts index the endpoint array by node id (the cluster builds it in
+   id order); a destination outside it, or a slot holding another node,
+   is a caller bug reported as [invalid_arg what]. *)
+let endpoint endpoints dst ~what =
+  if dst < 0 || dst >= Array.length endpoints then invalid_arg what;
+  let ep = endpoints.(dst) in
+  if ep.Endpoint.node <> dst then invalid_arg what;
+  ep
+
 let info_to ?(span = 0) net endpoints ~src ~dst msg =
-  match
-    Array.find_opt (fun (ep : Endpoint.t) -> ep.Endpoint.node = dst) endpoints
-  with
-  | None -> invalid_arg "Broadcast.info_to: unknown destination endpoint"
-  | Some ep ->
-      Sim.Net.send net ~src ~dst ~bytes:(Msg.info_bytes msg) ep.Endpoint.info_mb
-        { Msg.info = msg; ack = None; span }
+  let ep =
+    endpoint endpoints dst
+      ~what:"Broadcast.info_to: unknown destination endpoint"
+  in
+  Sim.Net.send net ~src ~dst ~bytes:(Msg.info_bytes msg) ep.Endpoint.info_mb
+    { Msg.info = msg; ack = None; span }
 
 let lookup net endpoints ~src ~home req =
-  match
-    Array.find_opt (fun (ep : Endpoint.t) -> ep.Endpoint.node = home) endpoints
-  with
-  | None -> invalid_arg "Broadcast.lookup: unknown home endpoint"
-  | Some ep ->
-      Sim.Net.send net ~src ~dst:home
-        ~bytes:(Msg.lookup_request_bytes req)
-        ep.Endpoint.lookup_mb req
+  let ep =
+    endpoint endpoints home ~what:"Broadcast.lookup: unknown home endpoint"
+  in
+  Sim.Net.send net ~src ~dst:home
+    ~bytes:(Msg.lookup_request_bytes req)
+    ep.Endpoint.lookup_mb req
 
 let sync net endpoints ~src ~peer req =
-  match
-    Array.find_opt (fun (ep : Endpoint.t) -> ep.Endpoint.node = peer) endpoints
-  with
-  | None -> invalid_arg "Broadcast.sync: unknown peer endpoint"
-  | Some ep ->
-      Sim.Net.send net ~src ~dst:peer
-        ~bytes:(Msg.sync_request_bytes req)
-        ep.Endpoint.sync_mb req
+  let ep =
+    endpoint endpoints peer ~what:"Broadcast.sync: unknown peer endpoint"
+  in
+  Sim.Net.send net ~src ~dst:peer
+    ~bytes:(Msg.sync_request_bytes req)
+    ep.Endpoint.sync_mb req
 
 let fetch net endpoints ~src ~owner req =
-  match
-    Array.find_opt (fun (ep : Endpoint.t) -> ep.Endpoint.node = owner) endpoints
-  with
-  | None -> invalid_arg "Broadcast.fetch: unknown owner endpoint"
-  | Some ep ->
-      Sim.Net.send net ~src ~dst:owner
-        ~bytes:(Msg.fetch_request_bytes req)
-        ep.Endpoint.data_mb req
+  let ep =
+    endpoint endpoints owner ~what:"Broadcast.fetch: unknown owner endpoint"
+  in
+  Sim.Net.send net ~src ~dst:owner
+    ~bytes:(Msg.fetch_request_bytes req)
+    ep.Endpoint.data_mb req
 
 let fetch_sync ?(span = 0) net endpoints ~src ~owner ~timeout ~retries ~backoff
     key =

@@ -3,7 +3,12 @@
     When a node inserts or deletes a cache entry it sends the update to
     every peer without waiting for acknowledgements — the paper's weak
     inter-node consistency protocol (no two-phase commit, no global locks;
-    replicas may briefly diverge, producing false hits/misses). *)
+    replicas may briefly diverge, producing false hits/misses).
+
+    The unicasts ({!info_to}, {!lookup}, {!sync}, {!fetch},
+    {!fetch_sync}) address [endpoints.(dst)] directly: the array must be
+    indexed by node id. A destination out of range, or whose slot holds
+    another node's endpoint, raises [Invalid_argument]. *)
 
 (** [info ?should_abort net endpoints ~src msg] transmits [msg] from node
     [src] to every other endpoint (in endpoint order), fire-and-forget.

@@ -1382,28 +1382,36 @@ let rec info_updates = function
       1
   | Cluster.Msg.Batch l -> List.fold_left (fun a u -> a + info_updates u) 0 l
 
+(* The apply cost is per update: batching amortizes the envelope on the
+   wire, not the directory work at the receiver. *)
+let apply_envelope c nd envelope =
+  Sim.Cpu.consume nd.cpu
+    (float_of_int (info_updates envelope.Cluster.Msg.info)
+    *. c.cfg.Config.info_apply_cost);
+  (if sharded c then apply_shard c nd envelope.Cluster.Msg.info
+   else apply_info nd envelope.Cluster.Msg.info);
+  match envelope.Cluster.Msg.ack with
+  | Some (sender, ack) ->
+      incr nd K.acks_sent;
+      Sim.Net.send c.net ~src:nd.id ~dst:sender ~bytes:32 ack ()
+  | None -> ()
+
 let info_daemon c nd =
   let rec loop () =
     let envelope = Sim.Mailbox.recv nd.endpoint.Cluster.Endpoint.info_mb in
     if not nd.up then loop ()  (* in flight across the crash instant: lost *)
     else begin
-    (* Causally a child of the originating request, but applied off its
-       critical path — hence async. *)
-    with_span c nd "info.apply" ~parent:envelope.Cluster.Msg.span ~async:true
-      (fun () ->
-        (* The apply cost is per update: batching amortizes the envelope on
-           the wire, not the directory work at the receiver. *)
-        Sim.Cpu.consume nd.cpu
-          (float_of_int (info_updates envelope.Cluster.Msg.info)
-          *. c.cfg.Config.info_apply_cost);
-        (if sharded c then apply_shard c nd envelope.Cluster.Msg.info
-         else apply_info nd envelope.Cluster.Msg.info);
-        match envelope.Cluster.Msg.ack with
-        | Some (sender, ack) ->
-            incr nd K.acks_sent;
-            Sim.Net.send c.net ~src:nd.id ~dst:sender ~bytes:32 ack ()
-        | None -> ());
-    loop ()
+      (match c.tracer with
+      | None ->
+          (* Every peer applies every update: skip [with_span]'s closure
+             and boxed arguments when nothing is traced. *)
+          apply_envelope c nd envelope
+      | Some _ ->
+          (* Causally a child of the originating request, but applied off
+             its critical path — hence async. *)
+          with_span c nd "info.apply" ~parent:envelope.Cluster.Msg.span
+            ~async:true (fun () -> apply_envelope c nd envelope));
+      loop ()
     end
   in
   loop ()

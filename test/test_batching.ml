@@ -111,6 +111,97 @@ let test_digest_incremental () =
         (Cache.Directory.digest d ~node:0)
         (Cache.Directory.digest d ~node:2))
 
+(* The digest reads every field of a meta: changing exactly one of them
+   changes the table's digest. *)
+let test_digest_field_sensitivity () =
+  let digest_of m =
+    let d = Cache.Directory.create ~nodes:1 ~charge:(fun _ -> ()) () in
+    Cache.Directory.insert d ~node:0 m;
+    snd (Cache.Directory.digest d ~node:0)
+  in
+  let mk ?(key = "GET /cgi-bin/q?a") ?(owner = 1) ?(size = 100)
+      ?(exec_time = 0.5) ?(created = 2.) ?(expires = Some 9.) () =
+    Cache.Meta.make ~key ~owner ~size ~exec_time ~created ~expires
+  in
+  let base = digest_of (mk ()) in
+  let differs what m =
+    check_bool (what ^ " changes the digest") true (base <> digest_of m)
+  in
+  differs "key" (mk ~key:"GET /cgi-bin/q?b" ());
+  differs "owner" (mk ~owner:2 ());
+  differs "size" (mk ~size:101 ());
+  differs "exec_time" (mk ~exec_time:0.50000001 ());
+  differs "created" (mk ~created:(Float.succ 2.) ());
+  differs "expires None vs Some" (mk ~expires:None ());
+  differs "expires Some vs Some" (mk ~expires:(Some 10.) ());
+  check_bool "expires None vs Some 0." true
+    (digest_of (mk ~expires:None ()) <> digest_of (mk ~expires:(Some 0.) ()));
+  check_int "the same meta hashes alike" base (digest_of (mk ()))
+
+(* Equal content gives equal digests, whatever the history of inserts,
+   replaces and deletes that built it. *)
+let test_digest_order_independent () =
+  let metas =
+    List.init 12 (fun i ->
+        meta ~owner:(i mod 3) ~size:(10 * i)
+          ~created:(float_of_int i)
+          ?expires:(if i mod 2 = 0 then Some 30. else None)
+          (Printf.sprintf "GET /cgi-bin/k%d" i))
+  in
+  let build ops =
+    let d = Cache.Directory.create ~nodes:1 ~charge:(fun _ -> ()) () in
+    List.iter (fun op -> op d) ops;
+    Cache.Directory.digest d ~node:0
+  in
+  let ins m d = Cache.Directory.insert d ~node:0 m in
+  let del key d = ignore (Cache.Directory.delete d ~node:0 key : bool) in
+  let forward = build (List.map ins metas)
+  and backward = build (List.rev_map ins metas)
+  and churned =
+    build
+      (List.map (fun m -> ins { m with Cache.Meta.size = 1 }) metas
+      @ [ ins (meta "GET /cgi-bin/gone"); del "GET /cgi-bin/gone" ]
+      @ List.rev_map ins metas)
+  in
+  check_digest_pair "reversed order" forward backward;
+  check_digest_pair "after replaces and a delete" forward churned
+
+(* Applying an update allocates a small constant: no string is built to
+   hash a meta and no closure wraps the lock. The two words per op left
+   are the boxed float handed to [charge]; the Printf-based hash this
+   replaced allocated about 450. *)
+let test_update_allocation () =
+  let n = 4096 in
+  let d = Cache.Directory.create ~nodes:2 ~charge:(fun _ -> ()) () in
+  let keys = Array.init n (Printf.sprintf "GET /cgi-bin/query?q=%d&xd=0.2") in
+  let metas created =
+    Array.map (fun key -> meta ~owner:1 ~created ~expires:(created +. 30.) key)
+      keys
+  in
+  let first = metas 1. and second = metas 2. in
+  Array.iter (Cache.Directory.insert d ~node:1) first;
+  let words_per_op f =
+    let before = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let replace =
+    words_per_op (fun () -> Array.iter (Cache.Directory.insert d ~node:1) second)
+  in
+  let delete =
+    words_per_op (fun () ->
+        Array.iter
+          (fun key -> ignore (Cache.Directory.delete d ~node:1 key : bool))
+          keys)
+  in
+  check_int "every key was deleted" 0 (Cache.Directory.table_size d ~node:1);
+  let bound = 8. in
+  if replace > bound then
+    Alcotest.failf "insert (replace) allocates %.1f words/op, bound %.0f"
+      replace bound;
+  if delete > bound then
+    Alcotest.failf "delete allocates %.1f words/op, bound %.0f" delete bound
+
 (* ------------------------------------------------------------------ *)
 (* Hint index *)
 
@@ -210,6 +301,40 @@ let test_batch_fanout_interruptible () =
 
 let coop_trace ~seed ~n =
   Workload.Synthetic.coop ~seed ~n ~n_unique:(n * 7 / 10) ~n_hot:(n / 10) ()
+
+(* A replicated run with churn, anti-entropy and fetch timeouts exercises
+   every digest update path (broadcast apply, crash wipe, purge, merge);
+   the incremental digest must still equal the recompute everywhere. *)
+let test_digest_after_churn_run () =
+  let n_nodes = 8 in
+  let cfg =
+    Swala.Config.make ~n_nodes ~cache_mode:Swala.Config.Cooperative
+      ~fault:
+        (Some
+           (Sim.Fault.make
+              ~churn:(Sim.Fault.churn ~rate:2.0 ~downtime:0.3 ())
+              ~horizon:60. ()))
+      ~fetch_timeout:(Some 0.15) ~anti_entropy_period:(Some 0.5) ~seed:3 ()
+  in
+  let cluster = ref None in
+  let r =
+    Swala.Cluster_runner.run cfg
+      ~trace:(coop_trace ~seed:3 ~n:400)
+      ~n_streams:16
+      ~warmup:(fun c -> cluster := Some c)
+      ()
+  in
+  let get = Metrics.Counter.get r.Swala.Cluster_runner.counters in
+  check_bool "churn crashed nodes" true (get Swala.Server.K.crashes > 0);
+  check_bool "anti-entropy ran" true
+    (get Swala.Server.K.anti_entropy_rounds > 0);
+  let cluster = Option.get !cluster in
+  for i = 0 to n_nodes - 1 do
+    let d = Swala.Server.node_directory (Swala.Server.node cluster i) in
+    for j = 0 to n_nodes - 1 do
+      check_digest d ~node:j (Printf.sprintf "node %d, table %d" i j)
+    done
+  done
 
 let counters_equal msg a b =
   check_bool (msg ^ ": Counter.equal") true (Metrics.Counter.equal a b);
@@ -407,8 +532,18 @@ let () =
         [ Alcotest.test_case "batching knobs are validated" `Quick
             test_batch_config_validation ] );
       ( "digest",
-        [ Alcotest.test_case "incremental digest equals recompute" `Quick
-            test_digest_incremental ] );
+        [
+          Alcotest.test_case "incremental digest equals recompute" `Quick
+            test_digest_incremental;
+          Alcotest.test_case "every field changes the digest" `Quick
+            test_digest_field_sensitivity;
+          Alcotest.test_case "insert order does not matter" `Quick
+            test_digest_order_independent;
+          Alcotest.test_case "equals recompute after a churn run" `Quick
+            test_digest_after_churn_run;
+          Alcotest.test_case "updates allocate a small constant" `Quick
+            test_update_allocation;
+        ] );
       ( "hints",
         [
           Alcotest.test_case "hint skips preceding tables" `Quick

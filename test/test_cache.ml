@@ -466,6 +466,37 @@ let test_directory_lock_counts_by_granularity () =
   (* Per-entry charges one acquisition per entry scanned. *)
   check_bool "per-entry reads >= per-table" true (rd_e >= rd_t)
 
+(* A charge that raises must not leave the table locked: later probes
+   and updates take the same lock without blocking. Outside any process,
+   a held lock would fail the next acquisition instead. *)
+let test_directory_charge_raise_unlocks () =
+  let fail_next = ref false in
+  let charge _ =
+    if !fail_next then begin
+      fail_next := false;
+      raise Exit
+    end
+  in
+  let d =
+    Cache.Directory.create ~granularity:Cache.Directory.Global ~charge
+      ~nodes:2 ()
+  in
+  let raises what f =
+    fail_next := true;
+    match f () with
+    | exception Exit -> ()
+    | _ -> Alcotest.failf "%s: the charge did not raise" what
+  in
+  raises "insert" (fun () -> Cache.Directory.insert d ~node:0 (meta "k"));
+  raises "lookup" (fun () -> ignore (Cache.Directory.lookup d ~now:0. "k"));
+  raises "delete" (fun () -> ignore (Cache.Directory.delete d ~node:0 "k"));
+  raises "purge" (fun () -> ignore (Cache.Directory.purge_node d ~node:1));
+  Cache.Directory.insert d ~node:1 (meta ~owner:1 "k");
+  check_bool "lookup after the raises" true
+    (Cache.Directory.lookup d ~now:0. "k" <> None);
+  check_bool "delete after the raises" true
+    (Cache.Directory.delete d ~node:1 "k")
+
 let test_directory_out_of_range () =
   in_engine (fun () ->
       let d = Cache.Directory.create ~nodes:2 () in
@@ -563,6 +594,8 @@ let () =
           Alcotest.test_case "lock counts per granularity" `Quick
             test_directory_lock_counts_by_granularity;
           Alcotest.test_case "node range checked" `Quick test_directory_out_of_range;
+          Alcotest.test_case "raising charge releases the lock" `Quick
+            test_directory_charge_raise_unlocks;
           Alcotest.test_case "lock overhead advances clock" `Quick
             test_directory_lock_overhead_advances_clock;
         ] );

@@ -100,6 +100,51 @@ let test_fetch_unknown_owner () =
   Sim.Engine.run eng;
   check_bool "unknown owner rejected" true !raised
 
+(* Unicasts index the endpoint array by node id: every kind reaches the
+   intended node's mailbox, and a destination out of range or a slot
+   holding another node is rejected. *)
+let test_unicast_addressing () =
+  let reply = Sim.Mailbox.create () in
+  let fetch_req = { Cluster.Msg.key = "k"; requester = 0; reply; span = 0 } in
+  let sync_req =
+    {
+      Cluster.Msg.from_node = 0;
+      digests = [||];
+      sync_reply = Sim.Mailbox.create ();
+      span = 0;
+    }
+  in
+  let info = Cluster.Msg.Delete { node = 0; key = "k" } in
+  let endpoints =
+    with_net 4 (fun net endpoints ->
+        Cluster.Broadcast.info_to net endpoints ~src:0 ~dst:3 info;
+        Cluster.Broadcast.sync net endpoints ~src:0 ~peer:2 sync_req;
+        Cluster.Broadcast.fetch net endpoints ~src:0 ~owner:1 fetch_req)
+  in
+  let queued mailbox =
+    Array.map (fun ep -> Sim.Mailbox.length (mailbox ep)) endpoints
+  in
+  let check_queued = Alcotest.(check (array int)) in
+  check_queued "info_to reached node 3 only" [| 0; 0; 0; 1 |]
+    (queued (fun ep -> ep.Cluster.Endpoint.info_mb));
+  check_queued "sync reached node 2 only" [| 0; 0; 1; 0 |]
+    (queued (fun ep -> ep.Cluster.Endpoint.sync_mb));
+  check_queued "fetch reached node 1 only" [| 0; 1; 0; 0 |]
+    (queued (fun ep -> ep.Cluster.Endpoint.data_mb));
+  let rejected what endpoints dst =
+    let raised = ref false in
+    ignore
+      (with_net 3 (fun net _ ->
+           try Cluster.Broadcast.info_to net endpoints ~src:0 ~dst info
+           with Invalid_argument _ -> raised := true));
+    check_bool what true !raised
+  in
+  let in_order = Array.init 3 (fun node -> Cluster.Endpoint.make ~node) in
+  rejected "negative destination" in_order (-1);
+  rejected "destination past the array" in_order 3;
+  let swapped = [| in_order.(0); in_order.(2); in_order.(1) |] in
+  rejected "slot holding another node" swapped 1
+
 let test_broadcast_delivery_is_delayed () =
   (* Deliveries happen after network latency: inboxes stay empty at send
      time and fill once the simulation drains. *)
@@ -140,5 +185,7 @@ let () =
             test_fetch_unknown_owner;
           Alcotest.test_case "delivery delayed by latency" `Quick
             test_broadcast_delivery_is_delayed;
+          Alcotest.test_case "unicasts index endpoints by node id" `Quick
+            test_unicast_addressing;
         ] );
     ]
