@@ -571,13 +571,16 @@ let span_of c =
 
 (* Run [f] inside a span on [nd]'s track. The parent defaults to the
    caller's fiber-local span; the local is set to the new span for the
-   duration so nested spans and outgoing messages pick it up. *)
+   duration so nested spans and outgoing messages pick it up. [attrs] is
+   only called when tracing is on, so untraced runs build no attribute
+   lists or strings. *)
 let with_span ?parent ?attrs ?async c nd name f =
   match c.tracer with
   | None -> f ()
   | Some tr ->
       let saved = Sim.Engine.get_local () in
       let parent = match parent with Some p -> p | None -> saved in
+      let attrs = Option.map (fun mk -> mk ()) attrs in
       let id =
         Metrics.Trace.begin_span tr ?attrs ?async ~parent ~track:nd.id ~name
           ()
@@ -952,7 +955,7 @@ let send_broadcasts c nd msgs = List.iter (enqueue c nd) msgs
 
 let exec_cgi c nd (script : Cgi.Script.t) req key =
   with_span c nd "cgi.exec"
-    ~attrs:[ ("script", script.Cgi.Script.name) ]
+    ~attrs:(fun () -> [ ("script", script.Cgi.Script.name) ])
   @@ fun () ->
   (match Hashtbl.find_opt nd.in_flight key with
   | Some n when n > 0 ->
@@ -1057,7 +1060,7 @@ let fetch_remote c nd env (script : Cgi.Script.t) key ~(ctl : cache_ctl) ~t0
   let owner = meta.Cache.Meta.owner in
   let answer =
     with_span c nd "fetch.remote"
-      ~attrs:[ ("owner", string_of_int owner) ]
+      ~attrs:(fun () -> [ ("owner", string_of_int owner) ])
     @@ fun () ->
     Sim.Cpu.consume nd.cpu c.cfg.Config.remote_fetch_cost;
     let span = span_of c in
@@ -1171,7 +1174,8 @@ let forward_lookup c nd env (script : Cgi.Script.t) key ~ctl ~t0 ~home =
   incr nd K.shard_fwd_lookups;
   let t_fwd = now () in
   let answer =
-    with_span c nd "dir.forward" ~attrs:[ ("home", string_of_int home) ]
+    with_span c nd "dir.forward"
+      ~attrs:(fun () -> [ ("home", string_of_int home) ])
     @@ fun () ->
     let reply_mb = Sim.Mailbox.create () in
     let req =
@@ -1317,7 +1321,7 @@ let handle_cgi c nd env (script : Cgi.Script.t) =
 
 let handle c nd env =
   with_span c nd "handle" ~parent:env.span
-    ~attrs:[ ("path", env.req.Http.Request.uri.Http.Uri.path) ]
+    ~attrs:(fun () -> [ ("path", env.req.Http.Request.uri.Http.Uri.path) ])
   @@ fun () ->
   incr nd K.requests;
   if not nd.up then begin
@@ -1834,7 +1838,7 @@ let refresh_entry c nd key =
           if not ctl.attempt then false
           else begin
             with_span c nd "refresh.exec"
-              ~attrs:[ ("script", script.Cgi.Script.name) ]
+              ~attrs:(fun () -> [ ("script", script.Cgi.Script.name) ])
             @@ fun () ->
             let query = uri.Http.Uri.query in
             let demand =

@@ -2,18 +2,33 @@ type t = (string * string) list (* insertion order *)
 
 let empty = []
 let add t name value = t @ [ (name, value) ]
-let norm = String.lowercase_ascii
-let matches name (k, _) = String.equal (norm k) (norm name)
 
-let get t name =
-  match List.find_opt (matches name) t with
-  | Some (_, v) -> Some v
-  | None -> None
+(* Case-insensitive name comparison without lowercased copies: header
+   lookups run on every simulated response ([transfer_bytes],
+   [wire_size]), so they must not allocate. *)
+let rec equal_from a b i =
+  i >= String.length a
+  || Char.lowercase_ascii (String.unsafe_get a i)
+     = Char.lowercase_ascii (String.unsafe_get b i)
+     && equal_from a b (i + 1)
+
+let name_equal a b = String.length a = String.length b && equal_from a b 0
+let matches name (k, _) = name_equal k name
+
+let rec get t name =
+  match t with
+  | [] -> None
+  | (k, v) :: rest -> if name_equal k name then Some v else get rest name
 
 let get_all t name = List.filter (matches name) t |> List.map snd
 let remove t name = List.filter (fun kv -> not (matches name kv)) t
 let replace t name value = add (remove t name) name value
-let mem t name = List.exists (matches name) t
+
+let rec mem t name =
+  match t with
+  | [] -> false
+  | (k, _) :: rest -> name_equal k name || mem rest name
+
 let to_list t = t
 let of_list l = l
 let length = List.length

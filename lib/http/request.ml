@@ -6,9 +6,15 @@ type t = {
   body : string;
 }
 
-let make ?(headers = Headers.empty) ?(body = "") meth target =
+let of_uri ?(headers = Headers.empty) ?(body = "") meth uri =
+  let path = uri.Uri.path in
+  if String.length path = 0 || path.[0] <> '/' then
+    invalid_arg "Request.of_uri: path must be absolute (start with '/')";
+  { meth; uri; version = "HTTP/1.0"; headers; body }
+
+let make ?headers ?body meth target =
   match Uri.parse target with
-  | Ok uri -> { meth; uri; version = "HTTP/1.0"; headers; body }
+  | Ok uri -> of_uri ?headers ?body meth uri
   | Error e -> invalid_arg ("Request.make: " ^ e)
 
 let get target = make Meth.Get target
@@ -77,7 +83,22 @@ let to_wire t =
 let cache_key t =
   Meth.to_string t.meth ^ " " ^ Uri.to_string (Uri.canonical t.uri)
 
-let wire_size t = String.length (to_wire t)
+(* Add up what [to_wire] would print, line by line, without printing it:
+   this is charged on every simulated request. *)
+let wire_size t =
+  let body_len = String.length t.body in
+  String.length (Meth.to_string t.meth)
+  + 1
+  + Uri.encoded_length t.uri
+  + 1
+  + String.length t.version
+  + 2
+  + Wire.header_lines_length (Headers.to_list t.headers)
+  + (if body_len > 0 && not (Headers.mem t.headers "Content-Length") then
+       Wire.content_length_line_length body_len
+     else 0)
+  + 2
+  + body_len
 
 let pp ppf t =
   Format.fprintf ppf "%a %a %s" Meth.pp t.meth Uri.pp t.uri t.version

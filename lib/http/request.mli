@@ -12,6 +12,12 @@ type t = {
     Raises [Invalid_argument] on a malformed target (programmatic use). *)
 val make : ?headers:Headers.t -> ?body:string -> Meth.t -> string -> t
 
+(** [of_uri ?headers ?body meth uri] is the request for an already-decoded
+    [uri]: [make meth (Uri.to_string uri)] without printing and re-parsing
+    the target. Raises [Invalid_argument] unless [uri.path] starts with
+    ['/']. *)
+val of_uri : ?headers:Headers.t -> ?body:string -> Meth.t -> Uri.t -> t
+
 (** [get target] is [make Get target]. *)
 val get : string -> t
 
@@ -28,8 +34,8 @@ val to_wire : t -> string
     identically (for cacheable scripts). *)
 val cache_key : t -> string
 
-(** [wire_size t] is the serialised byte count (used to charge the network
-    model). *)
+(** [wire_size t] is [String.length (to_wire t)], computed without
+    rendering (used to charge the network model). *)
 val wire_size : t -> int
 
 val pp : Format.formatter -> t -> unit

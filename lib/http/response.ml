@@ -80,7 +80,22 @@ let to_wire t =
   Buffer.add_string buf t.body;
   Buffer.contents buf
 
-let wire_size t = String.length (to_wire t)
+(* Add up what [to_wire] would print, line by line, without printing it:
+   this is charged on every simulated response, bodies included. *)
+let wire_size t =
+  let body_len = String.length t.body in
+  String.length t.version
+  + 1
+  + Wire.decimal_length (Status.code t.status)
+  + 1
+  + String.length (Status.reason t.status)
+  + 2
+  + Wire.header_lines_length (Headers.to_list t.headers)
+  + (if Headers.mem t.headers "Content-Length" then 0
+     else Wire.content_length_line_length body_len)
+  + 2
+  + body_len
+
 let body_size t = String.length t.body
 
 let pp ppf t =

@@ -18,7 +18,8 @@ val error : Status.t -> string -> t
 val parse : string -> (t, string) result
 val to_wire : t -> string
 
-(** [wire_size t] is the serialised byte count. *)
+(** [wire_size t] is [String.length (to_wire t)], computed without
+    rendering or copying the body. *)
 val wire_size : t -> int
 
 (** [body_size t] is [String.length t.body]. *)

@@ -128,6 +128,26 @@ let to_string t =
       in
       path ^ "?" ^ String.concat "&" pairs
 
+(* [String.length (to_string t)] without building it: a safe byte is
+   written as itself, any other as a three-byte [%XX] escape. *)
+let escaped_length ~slash_safe s =
+  let n = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    n := !n + if safe_char c && (slash_safe || c <> '/') then 1 else 3
+  done;
+  !n
+
+(* Every query pair is preceded by ['?'] or ['&'] and joined by ['=']. *)
+let encoded_length t =
+  List.fold_left
+    (fun n (k, v) ->
+      n + 2
+      + escaped_length ~slash_safe:false k
+      + escaped_length ~slash_safe:false v)
+    (escaped_length ~slash_safe:true t.path)
+    t.query
+
 let canonical t =
   let cmp (k1, v1) (k2, v2) =
     let c = String.compare k1 k2 in

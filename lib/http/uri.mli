@@ -16,6 +16,10 @@ val parse : string -> (t, string) result
     percent-encoded as needed). *)
 val to_string : t -> string
 
+(** [encoded_length t] is [String.length (to_string t)], computed without
+    building the string. *)
+val encoded_length : t -> int
+
 (** [canonical t] sorts query parameters by key (then value), producing the
     cache-key form. *)
 val canonical : t -> t

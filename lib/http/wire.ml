@@ -23,3 +23,15 @@ let parse_header_line line =
       in
       if String.equal (String.trim name) "" then Error "empty header name"
       else Ok (String.trim name, value)
+
+(* Byte counts of what [Request.to_wire]/[Response.to_wire] print, so
+   [wire_size] can add them up instead of rendering. *)
+let rec decimal_length n = if n < 10 then 1 else 1 + decimal_length (n / 10)
+
+let rec header_lines_length = function
+  | [] -> 0
+  | (k, v) :: rest ->
+      String.length k + 2 + String.length v + 2 + header_lines_length rest
+
+let content_length_line_length body_len =
+  String.length "Content-Length: \r\n" + decimal_length body_len

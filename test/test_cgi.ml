@@ -119,6 +119,75 @@ let test_script_output_tiny () =
   let body = Cgi.Script.output_sized s ~key:"k" ~bytes:0 in
   check_bool "non-empty wrapper" true (String.length body > 0)
 
+(* The Buffer-based body writer [Script.output_sized] replaced, kept as
+   the reference for byte-identity. *)
+let reference_output_sized (t : Cgi.Script.t) ~key ~bytes =
+  let pattern = String.init 190 (fun j -> Char.chr (32 + (j mod 95))) in
+  let h = Hashtbl.hash (t.Cgi.Script.name, key) in
+  let payload_len = Stdlib.max 0 (bytes - 96) in
+  let buf = Buffer.create (payload_len + 96) in
+  Buffer.add_string buf "<html><body><!-- ";
+  Buffer.add_string buf t.Cgi.Script.name;
+  Buffer.add_string buf (Printf.sprintf " h=%08x -->" h);
+  let start = h mod 95 in
+  let i = ref 0 in
+  while payload_len - !i >= 95 do
+    Buffer.add_substring buf pattern start 95;
+    i := !i + 95
+  done;
+  Buffer.add_substring buf pattern start (payload_len - !i);
+  Buffer.add_string buf "</body></html>";
+  Buffer.contents buf
+
+let test_script_output_matches_reference () =
+  let scripts =
+    List.map
+      (fun name -> Cgi.Script.make ~name (Cgi.Cost.make (Cgi.Cost.Fixed 1.)))
+      [ "/x"; "/cgi-bin/query"; "/cgi-bin/a-much-longer/script name/%41" ]
+  in
+  let keys =
+    [ ""; "k"; "GET /cgi-bin/query?q=1&xd=0.5"; String.make 300 'z' ]
+  in
+  let sizes =
+    List.init 401 Fun.id @ [ 65_535; 65_536; 65_537; 100_000; 262_144 ]
+  in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun key ->
+          List.iter
+            (fun bytes ->
+              let want = reference_output_sized s ~key ~bytes in
+              let got = Cgi.Script.output_sized s ~key ~bytes in
+              if not (String.equal want got) then
+                Alcotest.failf "%s key %S bytes %d differs" s.Cgi.Script.name
+                  key bytes)
+            sizes)
+        keys)
+    scripts
+
+let test_script_output_allocation () =
+  let s =
+    Cgi.Script.make ~name:"/cgi-bin/query" (Cgi.Cost.make (Cgi.Cost.Fixed 1.))
+  in
+  (* [Gc.counters] sees direct major-heap allocations at once;
+     [Gc.quick_stat] only at the next minor collection. *)
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  Gc.minor ();
+  let major0 = major_words () in
+  let body =
+    Cgi.Script.output_sized s ~key:"GET /cgi-bin/query?q=1" ~bytes:65536
+  in
+  let major = major_words () -. major0 in
+  (* One body: its words plus the block header, and a little slack. *)
+  let body_words = float_of_int ((String.length body / (Sys.word_size / 8)) + 2) in
+  if major > body_words +. 16. then
+    Alcotest.failf "%.0f major words for a %d-byte body (one body is %.0f)"
+      major (String.length body) body_words
+
 let test_script_defaults () =
   let s = Cgi.Script.make ~name:"/x" (Cgi.Cost.make (Cgi.Cost.Fixed 1.)) in
   check_bool "cacheable by default" true s.Cgi.Script.cacheable;
@@ -203,6 +272,10 @@ let () =
           Alcotest.test_case "deterministic output" `Quick test_script_output_deterministic;
           Alcotest.test_case "sized output" `Quick test_script_output_sized;
           Alcotest.test_case "tiny output" `Quick test_script_output_tiny;
+          Alcotest.test_case "output matches reference" `Quick
+            test_script_output_matches_reference;
+          Alcotest.test_case "one allocation per body" `Quick
+            test_script_output_allocation;
           Alcotest.test_case "defaults" `Quick test_script_defaults;
         ] );
       ( "registry",

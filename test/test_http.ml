@@ -286,6 +286,142 @@ let test_response_roundtrip () =
     (Http.Headers.get r'.Http.Response.headers "x-cache")
 
 (* ------------------------------------------------------------------ *)
+(* wire_size: the arithmetic count must equal what to_wire prints *)
+
+let gen_wire_text size =
+  (* Plain letters plus every byte class the encoder and the header
+     writer treat specially. *)
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (4, char_range 'a' 'z');
+             ( 1,
+               oneofl
+                 [ ' '; '/'; '%'; '&'; '='; '?'; '+'; '#'; '~'; '.'; '\x00';
+                   '\xff'; '\r' ] );
+           ])
+      size)
+
+let gen_headers =
+  QCheck.Gen.(
+    map Http.Headers.of_list
+      (list_size (0 -- 4)
+         (pair
+            (oneofl
+               [ "Content-Type"; "X-Cache"; "Host"; "Content-Length";
+                 "content-length"; "CONTENT-LENGTH"; "cOnTeNt-LeNgTh" ])
+            (oneof
+               [ map string_of_int (0 -- 100_000); gen_wire_text (0 -- 12) ]))))
+
+let gen_body =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return "");
+        (3, gen_wire_text (1 -- 40));
+        (1, map (fun n -> String.make n 'x') (1 -- 200_000));
+      ])
+
+let gen_version = QCheck.Gen.oneofl [ "HTTP/1.0"; "HTTP/1.1" ]
+
+let prop_request_wire_size =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((meth, path, query), (version, headers, body)) ->
+          {
+            Http.Request.meth;
+            uri = { Http.Uri.path = "/" ^ path; query };
+            version;
+            headers;
+            body;
+          })
+        (pair
+           (triple
+              (oneofl [ Http.Meth.Get; Http.Meth.Head; Http.Meth.Post ])
+              (gen_wire_text (0 -- 12))
+              (list_size (0 -- 4)
+                 (pair (gen_wire_text (0 -- 6)) (gen_wire_text (0 -- 6)))))
+           (triple gen_version gen_headers gen_body)))
+  in
+  QCheck.Test.make ~name:"request wire_size matches to_wire" ~count:500
+    (QCheck.make gen) (fun r ->
+      Http.Request.wire_size r = String.length (Http.Request.to_wire r))
+
+let all_statuses =
+  Http.Status.
+    [
+      Ok; Bad_request; Forbidden; Not_found; Internal_server_error;
+      Not_implemented; Service_unavailable;
+    ]
+
+let prop_response_wire_size =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (status, (version, headers, body)) ->
+          { Http.Response.status; version; headers; body })
+        (pair (oneofl all_statuses) (triple gen_version gen_headers gen_body)))
+  in
+  QCheck.Test.make ~name:"response wire_size matches to_wire" ~count:500
+    (QCheck.make gen) (fun r ->
+      Http.Response.wire_size r = String.length (Http.Response.to_wire r))
+
+let test_wire_size_every_status () =
+  List.iter
+    (fun status ->
+      List.iter
+        (fun r ->
+          check_int
+            (Format.asprintf "%a" Http.Status.pp status)
+            (String.length (Http.Response.to_wire r))
+            (Http.Response.wire_size r))
+        [
+          Http.Response.make status;
+          Http.Response.error status "msg";
+          Http.Response.make
+            ~headers:(Http.Headers.of_list [ ("content-length", "7") ])
+            ~body:"1234567" status;
+        ])
+    all_statuses
+
+let major_words () =
+  let _, _, major = Gc.counters () in
+  major
+
+(* [(minor, major)] words allocated by [f ()], starting from an empty
+   minor heap so no collection promotes anything during [f]. [Gc.counters]
+   counts blocks allocated straight in the major heap at once;
+   [Gc.quick_stat] only sees them at the next minor collection. *)
+let words_allocated f =
+  Gc.minor ();
+  let major0 = major_words () in
+  let minor0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1 = Gc.minor_words () in
+  let major1 = major_words () in
+  (minor1 -. minor0, major1 -. major0)
+
+let test_wire_size_allocation () =
+  let body = String.make 65536 'x' in
+  let check what f =
+    let minor, major = words_allocated f in
+    if major > 0. || minor > 64. then
+      Alcotest.failf "%s: %.0f minor and %.0f major words (limit 64 and 0)"
+        what minor major
+  in
+  let resp = Http.Response.ok body in
+  check "Response.wire_size" (fun () -> Http.Response.wire_size resp);
+  let req =
+    Http.Request.make Http.Meth.Post ~body
+      ~headers:(Http.Headers.of_list [ ("Content-Type", "text/plain") ])
+      "/cgi-bin/query?q=a%20b&xd=0.5"
+  in
+  check "Request.wire_size" (fun () -> Http.Request.wire_size req)
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -343,4 +479,11 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_response_parse_errors;
           Alcotest.test_case "roundtrip" `Quick test_response_roundtrip;
         ] );
+      ( "wire-size",
+        [
+          Alcotest.test_case "every status" `Quick test_wire_size_every_status;
+          Alcotest.test_case "no rendering allocation" `Quick
+            test_wire_size_allocation;
+        ] );
+      qsuite "wire-props" [ prop_request_wire_size; prop_response_wire_size ];
     ]

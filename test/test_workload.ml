@@ -32,6 +32,63 @@ let test_trace_to_request () =
     (Http.Uri.query_get req.Http.Request.uri "q");
   check_string "path" "/cgi-bin/q" req.Http.Request.uri.Http.Uri.path
 
+(* [to_request] builds CGI requests from the decoded script and args; it
+   must equal the request a client would get by printing the URI and
+   parsing it back. *)
+let round_trip_request (item : Workload.Trace.item) =
+  match item.Workload.Trace.kind with
+  | Workload.Trace.File { path; _ } -> Http.Request.get path
+  | Workload.Trace.Cgi { script; args; _ } ->
+      Http.Request.make Http.Meth.Get
+        (Http.Uri.to_string { Http.Uri.path = script; query = args })
+
+let check_to_request_stream what items =
+  List.iteri
+    (fun i item ->
+      if Workload.Trace.to_request item <> round_trip_request item then
+        Alcotest.failf "%s: item %d differs from print-and-parse" what i)
+    items
+
+let test_trace_to_request_round_trip () =
+  let crowd =
+    Workload.Scenario.make ~duration:10.
+      ~flash:(Workload.Scenario.flash_crowd ~at:2. ~duration:4. ())
+      ()
+  in
+  List.iter
+    (fun seed ->
+      let adl = Workload.Synthetic.adl_scaled ~seed ~n:4000 in
+      let coop =
+        Workload.Synthetic.coop ~seed ~n:4000 ~n_unique:1000 ~n_hot:24 ()
+      in
+      check_to_request_stream (Printf.sprintf "adl_scaled seed %d" seed) adl;
+      check_to_request_stream (Printf.sprintf "coop seed %d" seed) coop;
+      let rng = Sim.Rng.create seed in
+      let n = List.length coop in
+      let rewritten =
+        List.mapi
+          (fun i item ->
+            let now = 10. *. float_of_int i /. float_of_int n in
+            match Workload.Scenario.rewrite crowd ~rng ~now item with
+            | Some item' -> item'
+            | None -> item)
+          coop
+      in
+      check_bool "crowd rewrote items" true
+        (List.exists
+           (fun item -> Workload.Scenario.is_crowd_key (Workload.Trace.key item))
+           rewritten);
+      check_to_request_stream
+        (Printf.sprintf "rewritten coop seed %d" seed)
+        rewritten)
+    [ 1; 2; 3 ];
+  (* Args that need percent-encoding take the same route. *)
+  check_to_request_stream "escaped args"
+    [
+      cgi "a b&c=d%e+f/g?h";
+      cgi ~script:"/cgi-bin/odd name" "\x00\xff";
+    ]
+
 let test_trace_service_time () =
   check_float_eps 1e-9 "cgi = demand" 2.5
     (Workload.Trace.service_time (cgi ~demand:2.5 "k"));
@@ -451,6 +508,8 @@ let () =
         [
           Alcotest.test_case "key stability" `Quick test_trace_key_stability;
           Alcotest.test_case "to_request" `Quick test_trace_to_request;
+          Alcotest.test_case "to_request = print and parse" `Quick
+            test_trace_to_request_round_trip;
           Alcotest.test_case "service time" `Quick test_trace_service_time;
           Alcotest.test_case "aggregates" `Quick test_trace_aggregates;
         ] );
