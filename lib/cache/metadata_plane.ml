@@ -1,32 +1,8 @@
-(* The pluggable metadata plane: what a node keeps locally so the cluster
-   can answer "who caches key k?".
-
-   Two implementations share the LOCAL signature below. The transport
-   differences — broadcast vs point-to-point announcements, local probe
-   vs forwarded lookup — live in the server layer, which dispatches on
-   the packed variant [t]; this module owns the node-local state and the
-   operations the runner and the failure paths need uniformly. *)
-
-module type LOCAL = sig
-  type state
-
-  val mode : string
-  val entries : state -> int
-  val lock_acquisitions : state -> int * int
-  val reset : node:int -> state -> int
-end
-
-module Replicated = struct
-  type state = Directory.t
-
-  let mode = "replicated"
-  let entries = Directory.total_size
-  let lock_acquisitions = Directory.lock_acquisitions
-
-  (* A crashing node loses only its own table — the other tables are its
-     (now stale) view of peers, repaired lazily after restart. *)
-  let reset ~node d = Directory.reset_node d ~node
-end
+(* A node's metadata-plane state: what it keeps locally so the cluster can
+   answer "who caches key k?". The transport of each plane lives in
+   Core.Replicated_plane and Core.Sharded_plane; this module owns the
+   node-local state and the operations the runner and the crash path need
+   in either mode. *)
 
 module Sharded = struct
   type state = {
@@ -35,46 +11,33 @@ module Sharded = struct
     lcache : Lookup_cache.t option;
     hotspot : Hotspot.t option;
   }
-
-  let mode = "sharded"
-
-  let entries s =
-    Shard_table.length s.table
-    + match s.lcache with None -> 0 | Some lc -> Lookup_cache.length lc
-
-  let lock_acquisitions s = Shard_table.lock_acquisitions s.table
-
-  (* A crash loses the whole node-local sharded state: its partition of
-     the directory, the lookup cache and the hotspot tracker. *)
-  let reset ~node:_ s =
-    let n = Shard_table.reset s.table in
-    (match s.lcache with None -> () | Some lc -> Lookup_cache.clear lc);
-    (match s.hotspot with None -> () | Some h -> Hotspot.clear h);
-    n
 end
 
 type t = Replicated of Directory.t | Sharded of Sharded.state
 
-let replicated d = Replicated d
-
-let sharded ~ring ~table ?lookup_cache ?hotspot () =
-  Sharded { Sharded.ring; table; lcache = lookup_cache; hotspot }
-
-let mode_name = function
-  | Replicated _ -> Replicated.mode
-  | Sharded _ -> Sharded.mode
+let mode_name = function Replicated _ -> "replicated" | Sharded _ -> "sharded"
 
 let entries = function
-  | Replicated d -> Replicated.entries d
-  | Sharded s -> Sharded.entries s
+  | Replicated d -> Directory.total_size d
+  | Sharded s -> (
+      Shard_table.length s.table
+      + match s.lcache with None -> 0 | Some lc -> Lookup_cache.length lc)
 
 let lock_acquisitions = function
-  | Replicated d -> Replicated.lock_acquisitions d
-  | Sharded s -> Sharded.lock_acquisitions s
+  | Replicated d -> Directory.lock_acquisitions d
+  | Sharded s -> Shard_table.lock_acquisitions s.table
 
 let reset ~node = function
-  | Replicated d -> Replicated.reset ~node d
-  | Sharded s -> Sharded.reset ~node s
+  | Replicated d ->
+      (* A crashing node loses only its own table — the other tables are
+         its (now stale) view of peers, repaired lazily after restart. *)
+      Directory.reset_node d ~node
+  | Sharded s ->
+      (* A crash loses the whole node-local sharded state: its partition
+         of the directory, the lookup cache and the hotspot tracker. *)
+      let n = Shard_table.reset s.table in
+      Option.iter Lookup_cache.clear s.lcache;
+      Option.iter Hotspot.clear s.hotspot;
+      n
 
-let directory = function Replicated d -> Some d | Sharded _ -> None
 let shard = function Sharded s -> Some s | Replicated _ -> None
