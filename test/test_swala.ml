@@ -306,20 +306,54 @@ let test_server_false_miss_concurrent () =
   check_int "false miss counted" 1
     (get cluster Swala.Server.K.false_miss_concurrent)
 
+(* Standalone nodes run no metadata plane, on either plane setting: they
+   announce nothing and take no directory lock, even when TTL purges and
+   crash handoffs would drive a plane. *)
 let test_server_standalone_no_broadcast () =
-  let cfg = Swala.Config.make ~n_nodes:2 ~cache_mode:Swala.Config.Standalone () in
-  let cluster =
-    with_cluster ~cfg (fun cluster ->
-        ignore (submit0 cluster "/cgi-bin/fast?q=1");
-        Sim.Engine.delay 0.1;
-        (* Node 1 knows nothing: it must re-execute. *)
-        ignore
-          (Swala.Server.submit cluster ~client:(client_of cluster 0) ~node:1
-             (Http.Request.get "/cgi-bin/fast?q=1")))
-  in
-  check_int "both executed" 2 (get cluster Swala.Server.K.cgi_execs);
-  check_int "no broadcasts" 0 (get cluster Swala.Server.K.broadcast_insert);
-  check_int "no remote hits" 0 (get cluster Swala.Server.K.hit_remote)
+  List.iter
+    (fun dir_mode ->
+      let mode = Swala.Config.dir_mode_to_string dir_mode ^ ": " in
+      let cfg =
+        Swala.Config.make ~n_nodes:2 ~cache_mode:Swala.Config.Standalone
+          ~dir_mode ()
+      in
+      let cluster =
+        with_cluster ~cfg (fun cluster ->
+            ignore (submit0 cluster "/cgi-bin/fast?q=1");
+            Sim.Engine.delay 0.1;
+            (* Node 1 knows nothing: it must re-execute. *)
+            ignore
+              (Swala.Server.submit cluster ~client:(client_of cluster 0) ~node:1
+                 (Http.Request.get "/cgi-bin/fast?q=1")))
+      in
+      check_int (mode ^ "both executed") 2 (get cluster Swala.Server.K.cgi_execs);
+      check_int (mode ^ "no broadcasts") 0
+        (get cluster Swala.Server.K.broadcast_insert);
+      check_int (mode ^ "no remote hits") 0
+        (get cluster Swala.Server.K.hit_remote);
+      let r =
+        Swala.Cluster_runner.run
+          (Swala.Config.make ~n_nodes:4 ~cache_mode:Swala.Config.Standalone
+             ~dir_mode ~default_ttl:(Some 2.)
+             ~fault:
+               (Some
+                  (Sim.Fault.make
+                     ~node:{ Sim.Fault.mtbf = 40.; mttr = 10. }
+                     ~horizon:300. ()))
+             ~fetch_timeout:(Some 0.5) ~seed:3 ())
+          ~trace:
+            (Workload.Synthetic.coop ~seed:3 ~n:600 ~n_unique:420 ~locality:0.08
+               ())
+          ~n_streams:4 ()
+      in
+      let counter = Metrics.Counter.get r.Swala.Cluster_runner.counters in
+      check_bool (mode ^ "purges and crashes happened") true
+        (counter Swala.Server.K.purged > 0 && counter Swala.Server.K.crashes > 0);
+      check_int (mode ^ "no directory messages") 0
+        (counter Swala.Server.K.info_msgs);
+      Alcotest.(check (pair int int))
+        (mode ^ "no directory locks") (0, 0) r.Swala.Cluster_runner.dir_locks)
+    [ Swala.Config.Replicated; Swala.Config.Sharded ]
 
 let test_server_eviction_broadcasts_delete () =
   let cfg = Swala.Config.make ~n_nodes:2 ~cache_capacity:1 () in
