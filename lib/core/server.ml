@@ -277,7 +277,8 @@ let create_cluster ?client_extra_latency engine cfg ~registry
         R.histogram reg "staleness" (fun () ->
             ( float_of_int (Metrics.Histogram.count staleness),
               Metrics.Histogram.total staleness ));
-        (* Engine self-telemetry: raw heap occupancy vs capacity, the
+        (* Engine self-telemetry: raw queue occupancy vs capacity
+           (event heap, ready ring and timer heap together), the
            lazy-cancellation census whose growth drives compaction, the
            event execution rate, and the allocation rate of the host
            program itself. *)

@@ -9,7 +9,10 @@
     out under its Figure 3.
 
     Completions are recomputed on every arrival and departure, which makes
-    the model exact (not time-stepped). *)
+    the model exact (not time-stepped). Each CPU owns one re-armable
+    {!Engine.timer} for its next completion and keeps resident jobs in
+    flat arrays, so a {!consume} allocates no job record, list cell or
+    completion event. Jobs that finish at the same instant resume newest first. *)
 
 type t
 

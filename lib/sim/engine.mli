@@ -7,6 +7,13 @@
     continuation as an event. Events fire in (time, sequence) order, so runs
     are fully deterministic.
 
+    Three queues hold the pending events, and {!run} merges them by that
+    key: a binary heap for cancellable events ({!schedule_at}, timed
+    {!delay}s), a FIFO ring for same-instant wakeups ({!resume}, {!yield},
+    {!spawn}, {!spawn_child}), and an indexed heap of re-armable
+    {!timer}s. Every scheduling call draws the next sequence number, so
+    which queue an event sits in never changes when it fires.
+
     All per-process operations ({!delay}, {!now}, {!spawn_child}, {!suspend},
     {!self_engine}) must be called from inside a process started with
     {!spawn}; calling them elsewhere raises [Not_in_process]. ({!now} and
@@ -45,10 +52,32 @@ val schedule_after : t -> float -> (unit -> unit) -> handle
 
 (** [cancel h] prevents a pending event from firing; idempotent, and a no-op
     if the event already fired. Cancelled events are dropped lazily; once
-    they outnumber live ones the queue is compacted in one O(n) sweep, so
-    cancel-heavy workloads (CPU reschedules, timeouts) cannot bloat the
-    heap. *)
+    they outnumber live ones the heap is compacted in one O(n) sweep, so
+    cancel-heavy workloads (timeouts, fault handles) cannot bloat it. A
+    deadline that moves on every arrival belongs in a {!timer}. *)
 val cancel : handle -> unit
+
+(** {1 Re-armable timers}
+
+    A timer is a preallocated event slot for a deadline that keeps moving,
+    such as a processor-sharing CPU's next completion. Arming draws a
+    fresh sequence number, exactly as {!schedule_after} would, and moves
+    the timer in place; disarming removes it in place. Neither allocates
+    an event nor leaves a cancelled one behind. *)
+
+type timer
+
+(** [timer t f] is a disarmed timer of engine [t]. When it fires it is
+    disarmed first, then [f] runs with the timer itself, so it may re-arm
+    it. *)
+val timer : t -> (timer -> unit) -> timer
+
+(** [arm_after tm dt] (re-)arms [tm] to fire at [current_time +. dt],
+    [dt >= 0], replacing any earlier deadline. *)
+val arm_after : timer -> float -> unit
+
+(** [disarm tm] stops [tm] from firing; a no-op if it is not armed. *)
+val disarm : timer -> unit
 
 (** [spawn t f] registers [f] as a new process starting at the current time.
     May be called from inside or outside a process. *)
@@ -60,7 +89,8 @@ val spawn : t -> (unit -> unit) -> unit
     ends while some process is still suspended. *)
 val run : ?until:float -> ?detect_deadlock:bool -> t -> unit
 
-(** [pending t] is the number of queued (uncancelled) events. *)
+(** [pending t] is the number of queued (uncancelled) events, armed timers
+    included. *)
 val pending : t -> int
 
 (** [suspended t] is the number of processes currently blocked in
@@ -74,9 +104,12 @@ val events_processed : t -> int
 
 (** {1 Flight-recorder inspection}
 
-    O(1) reads for the telemetry sampler: raw heap occupancy (live plus
-    cancelled — {!pending} nets the census out), the backing-array size,
-    and the lazy-cancellation census whose growth drives compaction. *)
+    O(1) reads for the telemetry sampler, each summed over the event
+    heap, the ready ring and the timer heap: raw occupancy (live plus
+    cancelled — {!pending} nets the census out), the backing-array sizes,
+    and the lazy-cancellation census whose growth drives compaction (only
+    the event heap holds cancelled entries; timers are disarmed in place
+    and ring entries cannot be cancelled). *)
 
 val heap_depth : t -> int
 val heap_capacity : t -> int

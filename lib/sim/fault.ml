@@ -282,10 +282,14 @@ let partitioned t ~src ~dst ~now =
 
 let partitions t = Array.to_list t.parts
 
+(* Most plans override no link; skip the lookup, and the (src, dst) key
+   it would allocate, on every message of those. *)
 let link_for t ~src ~dst =
-  match Hashtbl.find_opt t.overrides (src, dst) with
-  | Some lp -> lp
-  | None -> t.link
+  if Hashtbl.length t.overrides = 0 then t.link
+  else
+    match Hashtbl.find_opt t.overrides (src, dst) with
+    | Some lp -> lp
+    | None -> t.link
 
 let action t ~src ~dst ~now =
   if node_down t ~node:src ~now || node_down t ~node:dst ~now then begin

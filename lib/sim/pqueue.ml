@@ -176,11 +176,15 @@ module Timed = struct
     seqs.(!i) <- seq;
     data.(!i) <- x
 
-  let min_time t =
+  let[@inline] min_time t =
     if t.size = 0 then invalid_arg "Pqueue.Timed.min_time: empty heap";
     t.times.(0)
 
-  let peek_min t =
+  let[@inline] min_seq t =
+    if t.size = 0 then invalid_arg "Pqueue.Timed.min_seq: empty heap";
+    t.seqs.(0)
+
+  let[@inline] peek_min t =
     if t.size = 0 then invalid_arg "Pqueue.Timed.peek_min: empty heap";
     t.data.(0)
 

@@ -782,6 +782,230 @@ let prop_cpu_finish_not_before_demand =
       Sim.Engine.run eng;
       !ok)
 
+(* The list-based processor-sharing CPU that [Sim.Cpu] replaced, kept
+   verbatim as the oracle for the array-based one: a job list newest
+   first, a completion event cancelled and rescheduled on every arrival
+   and departure. *)
+module Ref_cpu = struct
+  type job = { remaining : float ref; resume : unit Sim.Engine.resumer }
+
+  type t = {
+    engine : Sim.Engine.t;
+    cores : int;
+    speed : float;
+    mutable jobs : job list;
+    last_update : float ref;
+    work_delivered : float ref;
+    mutable next_completion : Sim.Engine.handle option;
+    mutable n_completed : int;
+    observe : (wait:float -> depth:int -> unit) option;
+  }
+
+  let eps = 1e-12
+
+  let create ?(speed = 1.0) ?observe engine ~cores =
+    {
+      engine;
+      cores;
+      speed;
+      jobs = [];
+      last_update = ref (Sim.Engine.current_time engine);
+      work_delivered = ref 0.;
+      next_completion = None;
+      n_completed = 0;
+      observe;
+    }
+
+  let rate t =
+    let n = List.length t.jobs in
+    if n = 0 then 0.
+    else t.speed *. Float.min 1.0 (float_of_int t.cores /. float_of_int n)
+
+  let advance t =
+    let now = Sim.Engine.current_time t.engine in
+    let dt = now -. !(t.last_update) in
+    if dt > 0. && t.jobs <> [] then begin
+      let r = rate t in
+      let served = dt *. r in
+      List.iter
+        (fun j -> j.remaining := Float.max 0. (!(j.remaining) -. served))
+        t.jobs;
+      t.work_delivered :=
+        !(t.work_delivered) +. (served *. float_of_int (List.length t.jobs))
+    end;
+    t.last_update := now
+
+  let rec reschedule t =
+    (match t.next_completion with
+    | Some h ->
+        Sim.Engine.cancel h;
+        t.next_completion <- None
+    | None -> ());
+    match t.jobs with
+    | [] -> ()
+    | jobs ->
+        let min_rem =
+          List.fold_left (fun acc j -> Float.min acc !(j.remaining)) infinity jobs
+        in
+        let r = rate t in
+        let dt = Float.max 0. (min_rem /. r) in
+        t.next_completion <-
+          Some (Sim.Engine.schedule_after t.engine dt (fun () -> complete t))
+
+  and complete t =
+    t.next_completion <- None;
+    advance t;
+    let done_, rest = List.partition (fun j -> !(j.remaining) <= eps) t.jobs in
+    t.jobs <- rest;
+    t.n_completed <- t.n_completed + List.length done_;
+    List.iter (fun j -> Sim.Engine.resume j.resume ()) done_;
+    reschedule t
+
+  let consume t demand =
+    if demand <= eps then begin
+      (match t.observe with
+      | None -> ()
+      | Some f -> f ~wait:0. ~depth:(List.length t.jobs));
+      Sim.Engine.yield ()
+    end
+    else begin
+      let depth = List.length t.jobs in
+      match t.observe with
+      | None ->
+          Sim.Engine.suspend (fun resume ->
+              advance t;
+              t.jobs <- { remaining = ref demand; resume } :: t.jobs;
+              reschedule t)
+      | Some f ->
+          let t0 = Sim.Engine.now () in
+          Sim.Engine.suspend (fun resume ->
+              advance t;
+              t.jobs <- { remaining = ref demand; resume } :: t.jobs;
+              reschedule t);
+          let solo = demand /. t.speed in
+          f ~wait:(Float.max 0. (Sim.Engine.now () -. t0 -. solo)) ~depth
+    end
+
+  let completed t = t.n_completed
+
+  let busy_time t =
+    let now = Sim.Engine.current_time t.engine in
+    let dt = now -. !(t.last_update) in
+    let extra =
+      if dt > 0. && t.jobs <> [] then
+        dt *. rate t *. float_of_int (List.length t.jobs)
+      else 0.
+    in
+    !(t.work_delivered) +. extra
+
+  let utilisation t ~elapsed =
+    if elapsed <= 0. then 0.
+    else busy_time t /. (elapsed *. t.speed *. float_of_int t.cores)
+end
+
+(* One random CPU scenario: cores, speed, whether [observe] is on, and
+   jobs as (start, demand). Starts come from a few instants so arrivals
+   tie; demands mix repeats, values at or below [eps], and random
+   ones. *)
+type cpu_case = {
+  c_cores : int;
+  c_speed : float;
+  c_observe : bool;
+  c_jobs : (float * float) list;
+}
+
+let cpu_case_arb =
+  let open QCheck.Gen in
+  let start = oneof [ oneofl [ 0.; 0.; 0.25; 1. ]; float_bound_inclusive 2. ] in
+  let demand =
+    oneof
+      [
+        oneofl [ 0.; 1e-13; 1e-12; 0.5; 0.5; 1.; 0.001 ];
+        float_bound_exclusive 2.;
+      ]
+  in
+  let gen =
+    map
+      (fun (c_cores, c_speed, c_observe, c_jobs) ->
+        { c_cores; c_speed; c_observe; c_jobs })
+      (quad (1 -- 4)
+         (oneofl [ 1.0; 0.5; 1.7; 3.0 ])
+         bool
+         (list_size (1 -- 24) (pair start demand)))
+  in
+  let print c =
+    Printf.sprintf "cores=%d speed=%g observe=%b jobs=[%s]" c.c_cores c.c_speed
+      c.c_observe
+      (String.concat "; "
+         (List.map (fun (s, d) -> Printf.sprintf "%h@%h" d s) c.c_jobs))
+  in
+  QCheck.make ~print gen
+
+(* Run a case on one CPU implementation; everything it reports is in
+   bits, so the comparison is exact. *)
+let run_cpu_case ~create ~consume ~busy ~util ~completed c =
+  let eng = Sim.Engine.create () in
+  let observed = ref [] in
+  let observe =
+    if c.c_observe then
+      Some
+        (fun ~wait ~depth ->
+          observed := (Int64.bits_of_float wait, depth) :: !observed)
+    else None
+  in
+  let cpu = create ?observe ~speed:c.c_speed eng ~cores:c.c_cores in
+  let order = ref [] in
+  let finish = Array.make (List.length c.c_jobs) 0L in
+  List.iteri
+    (fun i (start, demand) ->
+      Sim.Engine.spawn eng (fun () ->
+          Sim.Engine.delay start;
+          consume cpu demand;
+          finish.(i) <- Int64.bits_of_float (Sim.Engine.now ());
+          order := i :: !order))
+    c.c_jobs;
+  (* sample the accounting mid-run as well as at the end *)
+  let samples = ref [] in
+  let sample () =
+    samples :=
+      ( Int64.bits_of_float (busy cpu),
+        Int64.bits_of_float
+          (util cpu ~elapsed:(Sim.Engine.current_time eng)) )
+      :: !samples
+  in
+  Sim.Engine.spawn eng (fun () ->
+      List.iter
+        (fun at ->
+          Sim.Engine.delay at;
+          sample ())
+        [ 0.3; 0.4; 1.1 ]);
+  Sim.Engine.run eng;
+  sample ();
+  ( Array.to_list finish,
+    List.rev !order,
+    List.rev !samples,
+    List.rev !observed,
+    completed cpu,
+    Sim.Engine.events_processed eng )
+
+let prop_cpu_matches_list_oracle =
+  QCheck.Test.make ~name:"array cpu bit-equals the list cpu" ~count:300
+    cpu_case_arb (fun c ->
+      let got =
+        run_cpu_case c
+          ~create:(fun ?observe ~speed eng ~cores ->
+            Sim.Cpu.create ?observe ~speed eng ~cores)
+          ~consume:Sim.Cpu.consume ~busy:Sim.Cpu.busy_time
+          ~util:Sim.Cpu.utilisation ~completed:Sim.Cpu.completed
+      and want =
+        run_cpu_case c
+          ~create:(fun ?observe ~speed eng ~cores ->
+            Ref_cpu.create ?observe ~speed eng ~cores)
+          ~consume:Ref_cpu.consume ~busy:Ref_cpu.busy_time
+          ~util:Ref_cpu.utilisation ~completed:Ref_cpu.completed
+      in
+      got = want)
+
 (* ------------------------------------------------------------------ *)
 (* Disk and Net *)
 
@@ -1039,7 +1263,12 @@ let () =
           Alcotest.test_case "zero demand yields" `Quick test_cpu_zero_demand;
           Alcotest.test_case "busy time accounting" `Quick test_cpu_busy_time;
         ] );
-      qsuite "cpu-props" [ prop_cpu_work_conservation; prop_cpu_finish_not_before_demand ];
+      qsuite "cpu-props"
+        [
+          prop_cpu_work_conservation;
+          prop_cpu_finish_not_before_demand;
+          prop_cpu_matches_list_oracle;
+        ];
       ( "disk",
         [
           Alcotest.test_case "cached vs uncached cost" `Quick test_disk_cached_vs_uncached;
