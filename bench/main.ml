@@ -839,6 +839,11 @@ let run_perf () =
   done;
   let r = Option.get !best_r in
   let wall = !best_wall in
+  (* The process's peak major heap, in words: with the Bechamel suite it
+     is dominated by the six replays above, whose stores hold every
+     cached result. Deterministic for a given compiler, like the GC word
+     counts. *)
+  let top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
   let events = r.Swala.Cluster_runner.n_events in
   let rps = float_of_int n_requests /. wall in
   let eps = float_of_int events /. wall in
@@ -846,8 +851,10 @@ let run_perf () =
   let major_per_event = !major /. float_of_int events in
   Printf.printf
     "End-to-end (4 nodes, %d requests, %d sim events): %.3f s wall -> %.0f \
-     requests/s, %.0f events/s, %.1f minor and %.1f major words/event\n"
-    n_requests events wall rps eps words_per_event major_per_event;
+     requests/s, %.0f events/s, %.1f minor and %.1f major words/event, \
+     peak heap %d words\n"
+    n_requests events wall rps eps words_per_event major_per_event
+    top_heap_words;
   let module J = Metrics.Json in
   (* Simulated response-time quantiles ride along (in ms) so a perf PR that
      accidentally changes behaviour — not just speed — shows up here too. *)
@@ -870,6 +877,7 @@ let run_perf () =
          ("events_per_sec_wall", J.Float eps);
          ("gc_minor_words_per_event", J.Float words_per_event);
          ("gc_major_words_per_event", J.Float major_per_event);
+         ("top_heap_words", J.Int top_heap_words);
          ("p50_ms", ms 0.5);
          ("p95_ms", ms 0.95);
          ("p99_ms", ms 0.99);

@@ -638,11 +638,18 @@ let churn_fixed_t =
            instead of Poisson.")
 
 let trace_of_workload ~workload ~seed ~requests =
+  if requests < 1 then Error "swala_sim: --requests must be >= 1"
+  else
   match workload with
   | "adl" -> Ok (Workload.Synthetic.adl_scaled ~seed ~n:requests)
   | "coop" ->
       let n_unique = Stdlib.max 1 (requests * 7 / 10) in
-      Ok (Workload.Synthetic.coop ~seed ~n:requests ~n_unique ~locality:0.08 ())
+      (* coop's default 120-key hot set, shrunk only where a tiny trace
+         has fewer unique keys, so every larger trace is unchanged. *)
+      let n_hot = Stdlib.min 120 n_unique in
+      Ok
+        (Workload.Synthetic.coop ~seed ~n:requests ~n_unique ~n_hot
+           ~locality:0.08 ())
   | "webstone" -> Ok (Workload.Webstone.file_trace ~seed ~n:requests)
   | "nullcgi" -> Ok (Workload.Webstone.null_cgi_trace ~n:requests)
   | "unique" -> Ok (Workload.Synthetic.unique_cacheable ~n:requests ~demand:1.0)
@@ -774,7 +781,9 @@ let run_multi ~seeds ~jobs ~seed ~workload ~requests ~nodes ~mode ~policy
               in
               (line, json))
         seed_list
-    with Sim.Sweep.Worker (Failure e, _) ->
+    with
+    (* [Sweep.map] runs a single job inline, so its failure is bare. *)
+    | Sim.Sweep.Worker (Failure e, _) | Failure e ->
       prerr_endline e;
       exit 2
   in

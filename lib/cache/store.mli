@@ -1,7 +1,11 @@
 (** Bounded local result cache of one Swala node.
 
     Holds the cached bodies (standing in for the per-entry disk files of
-    §4.1) together with their meta-data, enforces an entry-count capacity
+    §4.1) together with their meta-data. A body is an {!Http.Body.t}
+    descriptor: a CGI result costs the store a few words whatever its
+    length, and its bytes are never rendered here. The store neither
+    reads nor checks a body; byte accounting ([capacity_bytes], {!bytes})
+    uses [meta.size]. The store enforces an entry-count capacity
     with a pluggable replacement {!Policy}, and applies TTL expiry. All
     operations are O(log n) amortised via a lazily-invalidated priority
     heap; [Random] replacement uses an O(1) indexed key table instead.
@@ -12,7 +16,7 @@
 
 type t
 
-type entry = { meta : Meta.t; body : string }
+type entry = { meta : Meta.t; body : Http.Body.t }
 
 val create :
   capacity:int -> ?capacity_bytes:int -> policy:Policy.t ->
@@ -32,9 +36,12 @@ val lookup : t -> string -> entry option
     counting hit/miss; expired entries still return [None]. *)
 val peek : t -> string -> entry option
 
-(** [insert t meta body] adds or replaces; evicts per policy when full.
-    Returns the evicted metas (oldest victim first) so the caller can
-    broadcast the corresponding delete messages. *)
+(** [insert_body t meta body] adds or replaces; evicts per policy when
+    full. Returns the evicted metas (oldest victim first) so the caller
+    can broadcast the corresponding delete messages. *)
+val insert_body : t -> Meta.t -> Http.Body.t -> Meta.t list
+
+(** [insert t meta s] is [insert_body t meta (Http.Body.of_string s)]. *)
 val insert : t -> Meta.t -> string -> Meta.t list
 
 (** [remove t key] deletes an entry; [true] if present. Used when a remote

@@ -25,10 +25,18 @@ val make :
     output. Running it measures pure invocation overhead (paper §5.1). *)
 val null : t
 
-(** [output t ~key] deterministically renders the body this script produces
-    for a given canonical request key, sized per the script's cost model. *)
-val output : t -> key:string -> string
+(** [body t ~key ~bytes] is the result this script produces for canonical
+    request key [key], of approximately [bytes] bytes (the script's cost
+    model, or a trace's override, picks [bytes]). It is a descriptor: a
+    simulated execution renders nothing, and the simulator reads only its
+    {!Http.Body.length}. *)
+val body : t -> key:string -> bytes:int -> Http.Body.t
 
-(** [output_sized t ~key ~bytes] renders a body of approximately [bytes]
-    bytes (used when a trace overrides the script's default output size). *)
+(** [output_sized t ~key ~bytes] is [Http.Body.to_string (body t ~key
+    ~bytes)], the rendered text. Identical keys always yield identical
+    text, so a body fetched from cache equals its re-execution. *)
 val output_sized : t -> key:string -> bytes:int -> string
+
+(** [output t ~key] is [output_sized] at the cost model's
+    [output_bytes]. *)
+val output : t -> key:string -> string

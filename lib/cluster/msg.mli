@@ -40,9 +40,11 @@ type info_envelope = {
 
 (** Reply to a remote-cache fetch. [Miss] is the protocol's "false hit"
     outcome: the entry was deleted at the owner after the requester looked
-    it up; the requester then executes the CGI locally (Figure 2). *)
+    it up; the requester then executes the CGI locally (Figure 2). A
+    [Hit] carries the owner's stored body descriptor as is: nothing is
+    rendered to ship it, and its wire size reads {!Http.Body.length}. *)
 type fetch_reply =
-  | Hit of { meta : Cache.Meta.t; body : string }
+  | Hit of { meta : Cache.Meta.t; body : Http.Body.t }
   | Miss of { key : string }
 
 (** A remote-cache fetch, sent to the owner's data server. The reply
@@ -120,7 +122,7 @@ val lookup_request_bytes : lookup_request -> int
 val lookup_reply_bytes : lookup_reply -> int
 
 (** [fetch_reply_bytes r] is the reply's approximate wire size ([Hit]
-    includes the cached body). *)
+    includes the cached body's {!Http.Body.length}). *)
 val fetch_reply_bytes : fetch_reply -> int
 
 (** [sync_request_bytes r] is a digest exchange's opening size (12 bytes

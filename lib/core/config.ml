@@ -339,6 +339,13 @@ let validate t =
       "update batching applies only to the weak protocol (the strong \
        protocol acknowledges each update synchronously)"
   end;
+  if t.dir_hints then
+    check
+      (t.n_nodes <= Sys.int_size - 2)
+      (Printf.sprintf
+         "dir_hints keeps each key's owner set in one int bitmask, so it \
+          covers at most %d nodes"
+         (Sys.int_size - 2));
   check (t.shard_vnodes >= 1) "shard_vnodes must be >= 1";
   check (t.shard_lookup_cache >= 0) "shard_lookup_cache must be >= 0";
   check (t.shard_pos_ttl > 0.) "shard_pos_ttl must be positive";

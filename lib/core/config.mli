@@ -134,7 +134,9 @@ type t = {
   dir_hints : bool;
       (** maintain a key→owner-set hint index in each directory replica
           so lookups probe only hinted tables (stale-tolerant; false
-          hints fall back to the full scan). Default [false] *)
+          hints fall back to the full scan). Default [false]. The
+          owner set is one [int] bitmask, so hints cover at most
+          [Sys.int_size - 2] nodes (61 on 64-bit hosts) *)
   dir_mode : dir_mode;
       (** which metadata plane to run. [Replicated] (the default) is the
           paper's full-replication directory and is byte-identical to the

@@ -37,7 +37,7 @@ let insert nd dir (meta : Cache.Meta.t) body =
    with
   | Some m when m.Cache.Meta.owner <> nd.id -> incr nd K.false_miss_duplicate
   | Some _ | None -> ());
-  let evicted = Cache.Store.insert nd.store meta body in
+  let evicted = Cache.Store.insert_body nd.store meta body in
   Cache.Directory.insert dir ~node:nd.id meta;
   evicted
 

@@ -475,7 +475,7 @@ let insert_result c nd ~key ~body ~exec_time ttl =
             c.cfg.Config.default_ttl)
   in
   let meta =
-    Cache.Meta.make ~key ~owner:nd.id ~size:(String.length body) ~exec_time
+    Cache.Meta.make ~key ~owner:nd.id ~size:(Http.Body.length body) ~exec_time
       ~created
       ~expires:(Option.map (fun t -> created +. t) ttl)
   in
@@ -487,13 +487,13 @@ let insert_result c nd ~key ~body ~exec_time ttl =
           | MP.Replicated d -> Replicated_plane.insert nd d meta body
           | MP.Sharded _ ->
               (* the home checks for a duplicate execution on arrival *)
-              Cache.Store.insert nd.store meta body
+              Cache.Store.insert_body nd.store meta body
         in
         List.map (fun (m : Cache.Meta.t) -> retract nd m.Cache.Meta.key) evicted
         @ [ Cluster.Msg.Insert meta ]
     | None when c.cfg.Config.cache_mode = Config.Disabled -> []
     | None ->
-        ignore (Cache.Store.insert nd.store meta body : Cache.Meta.t list);
+        ignore (Cache.Store.insert_body nd.store meta body : Cache.Meta.t list);
         []
   in
   incr nd K.inserts;
@@ -534,8 +534,7 @@ let exec_cgi c nd (script : Cgi.Script.t) req key =
     Error (Http.Response.error Http.Status.Internal_server_error "CGI failed")
   end
   else
-    let body = Cgi.Script.output_sized script ~key ~bytes:out_bytes in
-    Ok (body, demand)
+    Ok (Cgi.Script.body script ~key ~bytes:out_bytes, demand)
 
 (* Execute, optionally insert in the cache, respond, then announce. *)
 let exec_and_respond c nd env (script : Cgi.Script.t) key ~(ctl : cache_ctl) =
@@ -552,17 +551,17 @@ let exec_and_respond c nd env (script : Cgi.Script.t) key ~(ctl : cache_ctl) =
       in
       Sim.Cpu.consume nd.cpu
         (c.cfg.Config.model.Config.per_byte_send
-        *. float_of_int (String.length body));
+        *. float_of_int (Http.Body.length body));
       (* Figure 2 answers the client before broadcasting; under the strong
          protocol the whole point is that the reply implies every replica
          already knows, so the order flips. *)
       (match c.cfg.Config.consistency with
       | Config.Weak ->
-          respond c nd env (Http.Response.ok body);
+          respond c nd env (Http.Response.ok_body body);
           announce c nd msgs
       | Config.Strong ->
           announce c nd msgs;
-          respond c nd env (Http.Response.ok body))
+          respond c nd env (Http.Response.ok_body body))
 
 (* ------------------------------------------------------------------ *)
 (* Cache hit paths *)
@@ -600,8 +599,8 @@ let serve_local c nd env ~t0 (entry : Cache.Store.entry) =
         ~cached:true;
       Sim.Cpu.consume nd.cpu
         (c.cfg.Config.model.Config.per_byte_send
-        *. float_of_int (String.length entry.Cache.Store.body)));
-  respond c nd env (Http.Response.ok entry.Cache.Store.body);
+        *. float_of_int (Http.Body.length entry.Cache.Store.body)));
+  respond c nd env (Http.Response.ok_body entry.Cache.Store.body);
   Metrics.Sample.add c.hit_latency (now () -. t0)
 
 let fetch_remote c nd env (script : Cgi.Script.t) key ~(ctl : cache_ctl) ~t0
@@ -649,8 +648,8 @@ let fetch_remote c nd env (script : Cgi.Script.t) key ~(ctl : cache_ctl) ~t0
       note_hit_freshness c nd served;
       Sim.Cpu.consume nd.cpu
         (c.cfg.Config.model.Config.per_byte_send
-        *. float_of_int (String.length body));
-      respond c nd env (Http.Response.ok body);
+        *. float_of_int (Http.Body.length body));
+      respond c nd env (Http.Response.ok_body body);
       Metrics.Sample.add c.hit_latency (now () -. t0)
   | Some (Cluster.Msg.Miss _) ->
       (* False hit: the entry vanished at the owner after our directory
@@ -972,9 +971,7 @@ let refresh_entry c nd key =
                let out_bytes =
                  Cgi.Cost.output_bytes_for script.Cgi.Script.cost ~query
                in
-               let body =
-                 Cgi.Script.output_sized script ~key ~bytes:out_bytes
-               in
+               let body = Cgi.Script.body script ~key ~bytes:out_bytes in
                let msgs = insert_result c nd ~key ~body ~exec_time:demand ctl.ttl in
                incr nd K.refreshes;
                Hashtbl.replace nd.refreshed key demand;
@@ -1184,7 +1181,7 @@ let preload c ~node req ~exec_time =
         Cgi.Cost.output_bytes_for script.Cgi.Script.cost
           ~query:req.Http.Request.uri.Http.Uri.query
       in
-      let body = Cgi.Script.output_sized script ~key ~bytes:out_bytes in
+      let body = Cgi.Script.body script ~key ~bytes:out_bytes in
       let ctl = cache_ctl_for c script Http.Meth.Get in
       let msgs = insert_result c nd ~key ~body ~exec_time ctl.ttl in
       announce c nd msgs

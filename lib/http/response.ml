@@ -2,23 +2,22 @@ type t = {
   status : Status.t;
   version : string;
   headers : Headers.t;
-  body : string;
+  body : Body.t;
 }
 
-let make ?(headers = Headers.empty) ?(body = "") status =
+let make ?(headers = Headers.empty) ?(body = Body.empty) status =
   { status; version = "HTTP/1.0"; headers; body }
 
-let ok body =
-  make ~headers:(Headers.add Headers.empty "Content-Type" "text/html") ~body
-    Status.Ok
+let html = Headers.add Headers.empty "Content-Type" "text/html"
+let ok_body body = make ~headers:html ~body Status.Ok
+let ok s = ok_body (Body.of_string s)
 
 let error status message =
   let body =
     Printf.sprintf "<html><body><h1>%d %s</h1><p>%s</p></body></html>"
       (Status.code status) (Status.reason status) message
   in
-  make ~headers:(Headers.add Headers.empty "Content-Type" "text/html") ~body
-    status
+  make ~headers:html ~body:(Body.of_string body) status
 
 let split_head = Wire.split_head
 let parse_header_line = Wire.parse_header_line
@@ -51,12 +50,17 @@ let parse s =
                         | Some n -> Stdlib.min n avail
                         | None -> avail
                       in
-                      let body = String.sub s body_off (Stdlib.max 0 want) in
+                      let body =
+                        Body.of_string
+                          (String.sub s body_off (Stdlib.max 0 want))
+                      in
                       Ok { status; version; headers = hs; body })))
       | [] | [ _ ] -> Error "malformed status line")
 
+(* The one place a response's body bytes are rendered. *)
 let to_wire t =
-  let buf = Buffer.create (String.length t.body + 128) in
+  let body = Body.to_string t.body in
+  let buf = Buffer.create (String.length body + 128) in
   Buffer.add_string buf t.version;
   Buffer.add_char buf ' ';
   Buffer.add_string buf (string_of_int (Status.code t.status));
@@ -66,7 +70,7 @@ let to_wire t =
   let headers =
     if not (Headers.mem t.headers "Content-Length") then
       Headers.replace t.headers "Content-Length"
-        (string_of_int (String.length t.body))
+        (string_of_int (String.length body))
     else t.headers
   in
   List.iter
@@ -77,13 +81,13 @@ let to_wire t =
       Buffer.add_string buf "\r\n")
     (Headers.to_list headers);
   Buffer.add_string buf "\r\n";
-  Buffer.add_string buf t.body;
+  Buffer.add_string buf body;
   Buffer.contents buf
 
 (* Add up what [to_wire] would print, line by line, without printing it:
    this is charged on every simulated response, bodies included. *)
 let wire_size t =
-  let body_len = String.length t.body in
+  let body_len = Body.length t.body in
   String.length t.version
   + 1
   + Wire.decimal_length (Status.code t.status)
@@ -96,7 +100,7 @@ let wire_size t =
   + 2
   + body_len
 
-let body_size t = String.length t.body
+let body_size t = Body.length t.body
 
 let pp ppf t =
   Format.fprintf ppf "%s %a (%d bytes)" t.version Status.pp t.status

@@ -87,7 +87,8 @@ let test_store_insert_lookup () =
   ignore (Cache.Store.insert store (meta "a") "body-a");
   (match Cache.Store.lookup store "a" with
   | Some e ->
-      Alcotest.(check string) "body" "body-a" e.Cache.Store.body;
+      Alcotest.(check string) "body" "body-a"
+        (Http.Body.to_string e.Cache.Store.body);
       Alcotest.(check string) "key" "a" e.Cache.Store.meta.Cache.Meta.key
   | None -> Alcotest.fail "expected hit");
   check_bool "miss" true (Cache.Store.lookup store "b" = None);
@@ -101,8 +102,38 @@ let test_store_replace_same_key () =
   ignore (Cache.Store.insert store (meta "a") "v2");
   check_int "one entry" 1 (Cache.Store.length store);
   match Cache.Store.lookup store "a" with
-  | Some e -> Alcotest.(check string) "latest" "v2" e.Cache.Store.body
+  | Some e ->
+      Alcotest.(check string) "latest" "v2"
+        (Http.Body.to_string e.Cache.Store.body)
   | None -> Alcotest.fail "hit expected"
+
+(* A store of CGI results costs a few words per entry whatever the body
+   length: it keeps descriptors, never rendered bytes. A rendered 64 KiB
+   body alone is 8k words. *)
+let test_store_bounded_per_entry () =
+  let n = 1000 and per_entry_bound = 256 in
+  let fill bytes =
+    let store, _ = make_store ~capacity:n () in
+    for i = 1 to n do
+      let key = Printf.sprintf "GET /cgi-bin/q?i=%d" i in
+      let body = Http.Body.cgi ~script:"/cgi-bin/q" ~key ~bytes in
+      ignore
+        (Cache.Store.insert_body store
+           (Cache.Meta.make ~key ~owner:0 ~size:(Http.Body.length body)
+              ~exec_time:1.0 ~created:0. ~expires:None)
+           body
+          : Cache.Meta.t list)
+    done;
+    check_int "all resident" n (Cache.Store.length store);
+    check_bool "bytes accounted" true
+      (Cache.Store.bytes store >= n * (bytes - 96));
+    Obj.reachable_words (Obj.repr store)
+  in
+  let words = fill 65_536 in
+  if words > n * per_entry_bound then
+    Alcotest.failf "%d words for %d entries (bound %d per entry)" words n
+      per_entry_bound;
+  check_int "independent of body length" words (fill (1 lsl 20))
 
 let test_store_capacity_enforced () =
   let store, _ = make_store ~capacity:2 () in
@@ -558,6 +589,8 @@ let () =
           Alcotest.test_case "insert and lookup" `Quick test_store_insert_lookup;
           Alcotest.test_case "replace same key" `Quick test_store_replace_same_key;
           Alcotest.test_case "capacity enforced" `Quick test_store_capacity_enforced;
+          Alcotest.test_case "bounded words per entry" `Quick
+            test_store_bounded_per_entry;
           Alcotest.test_case "LRU victim" `Quick test_store_lru_victim;
           Alcotest.test_case "FIFO victim" `Quick test_store_fifo_victim;
           Alcotest.test_case "LFU victim" `Quick test_store_lfu_victim;

@@ -166,6 +166,34 @@ let test_script_output_matches_reference () =
         keys)
     scripts
 
+(* The descriptor a simulated execution carries renders, and measures,
+   exactly what [output_sized] and the old writer produce: every size
+   from 0 to 400 (across the [bytes < 96] clamp), 64 KiB +- 1, 100 000
+   and 256 KiB, over several scripts and keys. *)
+let prop_descriptor_matches_output =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneofl
+           [ "/x"; "/cgi-bin/query"; "/cgi-bin/a-much-longer/script name/%41" ])
+        (oneof
+           [
+             oneofl [ ""; "k"; "GET /cgi-bin/query?q=1&xd=0.5" ];
+             string_size ~gen:printable (0 -- 300);
+           ])
+        (oneof
+           [ 0 -- 400; oneofl [ 0; 95; 96; 97; 65_535; 65_536; 65_537;
+                                100_000; 262_144 ] ]))
+  in
+  QCheck.Test.make ~name:"descriptor bytes match output_sized" ~count:400
+    (QCheck.make gen) (fun (name, key, bytes) ->
+      let s = Cgi.Script.make ~name (Cgi.Cost.make (Cgi.Cost.Fixed 1.)) in
+      let body = Cgi.Script.body s ~key ~bytes in
+      let rendered = Http.Body.to_string body in
+      String.equal rendered (Cgi.Script.output_sized s ~key ~bytes)
+      && String.equal rendered (reference_output_sized s ~key ~bytes)
+      && Http.Body.length body = String.length rendered)
+
 let test_script_output_allocation () =
   let s =
     Cgi.Script.make ~name:"/cgi-bin/query" (Cgi.Cost.make (Cgi.Cost.Fixed 1.))
@@ -278,6 +306,8 @@ let () =
             test_script_output_allocation;
           Alcotest.test_case "defaults" `Quick test_script_defaults;
         ] );
+      ( "script-props",
+        [ QCheck_alcotest.to_alcotest prop_descriptor_matches_output ] );
       ( "registry",
         [
           Alcotest.test_case "resolve script" `Quick test_registry_resolve_script;

@@ -253,14 +253,14 @@ let test_response_wire_adds_content_length () =
   let r' = ok_or_fail "parse" (Http.Response.parse wire) in
   Alcotest.(check (option int)) "content-length" (Some 3)
     (Http.Headers.content_length r'.Http.Response.headers);
-  check_string "body" "abc" r'.Http.Response.body
+  check_string "body" "abc" (Http.Body.to_string r'.Http.Response.body)
 
 let test_response_error_body () =
   let r = Http.Response.error Http.Status.Not_found "/missing" in
   check_bool "mentions path" true
-    (String.length r.Http.Response.body > 0
+    (Http.Body.length r.Http.Response.body > 0
     &&
-    let b = r.Http.Response.body in
+    let b = Http.Body.to_string r.Http.Response.body in
     let rec find i =
       i + 8 <= String.length b
       && (String.sub b i 8 = "/missing" || find (i + 1))
@@ -278,10 +278,10 @@ let test_response_roundtrip () =
   let r =
     Http.Response.make
       ~headers:(Http.Headers.of_list [ ("X-Cache", "HIT") ])
-      ~body:"data" Http.Status.Ok
+      ~body:(Http.Body.of_string "data") Http.Status.Ok
   in
   let r' = ok_or_fail "parse" (Http.Response.parse (Http.Response.to_wire r)) in
-  check_string "body" "data" r'.Http.Response.body;
+  check_string "body" "data" (Http.Body.to_string r'.Http.Response.body);
   Alcotest.(check (option string)) "header" (Some "HIT")
     (Http.Headers.get r'.Http.Response.headers "x-cache")
 
@@ -324,6 +324,23 @@ let gen_body =
         (1, map (fun n -> String.make n 'x') (1 -- 200_000));
       ])
 
+(* CGI descriptors: short and long script names, keys with the bytes
+   the wire writer treats specially, and sizes on both sides of the
+   [bytes < 96] clamp up to a few hundred KiB. *)
+let gen_cgi_body =
+  QCheck.Gen.(
+    map3
+      (fun script key bytes -> Http.Body.cgi ~script ~key ~bytes)
+      (oneofl
+         [ "/x"; "/cgi-bin/query"; "/cgi-bin/" ^ String.make 60 'n' ])
+      (gen_wire_text (0 -- 24))
+      (frequency
+         [ (3, 0 -- 400); (1, 0 -- 300_000); (1, oneofl [ 65_535; 65_536 ]) ]))
+
+let gen_response_body =
+  QCheck.Gen.(
+    frequency [ (2, map Http.Body.of_string gen_body); (1, gen_cgi_body) ])
+
 let gen_version = QCheck.Gen.oneofl [ "HTTP/1.0"; "HTTP/1.1" ]
 
 let prop_request_wire_size =
@@ -363,11 +380,36 @@ let prop_response_wire_size =
       map
         (fun (status, (version, headers, body)) ->
           { Http.Response.status; version; headers; body })
-        (pair (oneofl all_statuses) (triple gen_version gen_headers gen_body)))
+        (pair (oneofl all_statuses)
+           (triple gen_version gen_headers gen_response_body)))
   in
   QCheck.Test.make ~name:"response wire_size matches to_wire" ~count:500
     (QCheck.make gen) (fun r ->
       Http.Response.wire_size r = String.length (Http.Response.to_wire r))
+
+let prop_body_length =
+  QCheck.Test.make ~name:"body length matches to_string" ~count:500
+    (QCheck.make gen_response_body) (fun b ->
+      Http.Body.length b = String.length (Http.Body.to_string b))
+
+(* A descriptor response puts on the wire exactly what the same response
+   built from the rendered bytes does. *)
+let prop_descriptor_wire =
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl all_statuses) (triple gen_version gen_headers gen_cgi_body))
+  in
+  QCheck.Test.make ~name:"descriptor to_wire matches rendered" ~count:300
+    (QCheck.make gen) (fun (status, (version, headers, body)) ->
+      let r = { Http.Response.status; version; headers; body } in
+      let rendered =
+        {
+          r with
+          Http.Response.body = Http.Body.of_string (Http.Body.to_string body);
+        }
+      in
+      String.equal (Http.Response.to_wire r) (Http.Response.to_wire rendered)
+      && Http.Response.wire_size r = Http.Response.wire_size rendered)
 
 let test_wire_size_every_status () =
   List.iter
@@ -383,7 +425,10 @@ let test_wire_size_every_status () =
           Http.Response.error status "msg";
           Http.Response.make
             ~headers:(Http.Headers.of_list [ ("content-length", "7") ])
-            ~body:"1234567" status;
+            ~body:(Http.Body.of_string "1234567") status;
+          Http.Response.make
+            ~body:(Http.Body.cgi ~script:"/cgi-bin/q" ~key:"k" ~bytes:5000)
+            status;
         ])
     all_statuses
 
@@ -414,6 +459,15 @@ let test_wire_size_allocation () =
   in
   let resp = Http.Response.ok body in
   check "Response.wire_size" (fun () -> Http.Response.wire_size resp);
+  let cgi =
+    Http.Response.ok_body
+      (Http.Body.cgi ~script:"/cgi-bin/query" ~key:"GET /cgi-bin/query?q=1"
+         ~bytes:65536)
+  in
+  check "Response.wire_size of a descriptor" (fun () ->
+      Http.Response.wire_size cgi);
+  check "Response.body_size of a descriptor" (fun () ->
+      Http.Response.body_size cgi);
   let req =
     Http.Request.make Http.Meth.Post ~body
       ~headers:(Http.Headers.of_list [ ("Content-Type", "text/plain") ])
@@ -486,4 +540,5 @@ let () =
             test_wire_size_allocation;
         ] );
       qsuite "wire-props" [ prop_request_wire_size; prop_response_wire_size ];
+      qsuite "body-props" [ prop_body_length; prop_descriptor_wire ];
     ]

@@ -27,6 +27,25 @@ let test_config_validation () =
   check_bool "ttl" true (inv (Swala.Config.make ~default_ttl:(Some 0.) ()));
   check_bool "fs cache" true (inv (Swala.Config.make ~fs_cache_hit:1.5 ()))
 
+(* The hint index's owner set is one int bitmask: a cluster larger than
+   it must be refused by validation, not crash at directory creation. *)
+let test_config_dir_hints_nodes () =
+  let limit = Sys.int_size - 2 in
+  Swala.Config.validate (Swala.Config.make ~n_nodes:limit ~dir_hints:true ());
+  Swala.Config.validate (Swala.Config.make ~n_nodes:64 ());
+  List.iter
+    (fun n_nodes ->
+      match
+        Swala.Config.validate (Swala.Config.make ~n_nodes ~dir_hints:true ())
+      with
+      | () -> Alcotest.failf "dir_hints on %d nodes accepted" n_nodes
+      | exception Invalid_argument msg ->
+          check_bool
+            (Printf.sprintf "%S is a Config error" msg)
+            true
+            (String.starts_with ~prefix:"Config: " msg))
+    [ limit + 1; 64 ]
+
 let test_config_mode_names () =
   check_string "disabled" "no-cache"
     (Swala.Config.cache_mode_to_string Swala.Config.Disabled);
@@ -112,8 +131,9 @@ let test_server_cgi_exec_and_cache_hit () =
         let r1 = submit0 cluster "/cgi-bin/fast?q=1" in
         let r2 = submit0 cluster "/cgi-bin/fast?q=1" in
         check_int "200" 200 (Http.Status.code r1.Http.Response.status);
-        check_string "cached body identical" r1.Http.Response.body
-          r2.Http.Response.body)
+        check_string "cached body identical"
+          (Http.Body.to_string r1.Http.Response.body)
+          (Http.Body.to_string r2.Http.Response.body))
   in
   check_int "one exec" 1 (get cluster Swala.Server.K.cgi_execs);
   check_int "one local hit" 1 (get cluster Swala.Server.K.hit_local);
@@ -405,6 +425,8 @@ let () =
           Alcotest.test_case "default valid" `Quick test_config_default_valid;
           Alcotest.test_case "make overrides" `Quick test_config_make_overrides;
           Alcotest.test_case "validation" `Quick test_config_validation;
+          Alcotest.test_case "dir_hints node limit" `Quick
+            test_config_dir_hints_nodes;
           Alcotest.test_case "mode names" `Quick test_config_mode_names;
           Alcotest.test_case "models distinct" `Quick test_config_models_distinct;
         ] );
