@@ -2,8 +2,9 @@
 
    A cooperative cache starts cold: early requests all execute their CGIs,
    later ones increasingly hit. This example buckets client-observed
-   response times into windows ([Metrics.Timeseries]) and prints the curve
-   as a crude terminal plot — cold vs pre-warmed cluster side by side.
+   response times into 5 s windows ([Metrics.Timeline], with room for
+   every window of the run so none merge) and prints the curve as a crude
+   terminal plot — cold vs pre-warmed cluster side by side.
 
    Run with:  dune exec examples/warmup_curve.exe *)
 
@@ -15,7 +16,7 @@ let () =
   in
   let cfg = Swala.Config.make ~n_nodes:4 ~seed () in
   let run ~warm =
-    let ts = Metrics.Timeseries.create ~window:5.0 in
+    let tl = Metrics.Timeline.create ~capacity:1024 ~interval:5.0 () in
     let warmup cluster =
       if warm then begin
         (* Preload every distinct request, spread over the nodes. *)
@@ -36,13 +37,13 @@ let () =
     in
     let result =
       Swala.Cluster_runner.run cfg ~trace ~n_streams:16 ~warmup
-        ~observe:(fun ~time dt -> Metrics.Timeseries.add ts ~time dt)
+        ~observe:(fun ~time dt -> Metrics.Timeline.record tl ~time dt)
         ()
     in
-    (ts, result)
+    (tl, result)
   in
-  let cold_ts, cold = run ~warm:false in
-  let warm_ts, warm = run ~warm:true in
+  let cold_tl, cold = run ~warm:false in
+  let warm_tl, warm = run ~warm:true in
   Printf.printf
     "Mean response: cold start %.2f s, pre-warmed %.2f s (workload: 2400 \
      requests, 400 unique).\n\n"
@@ -52,8 +53,13 @@ let () =
     let cells = int_of_float (Float.round (40. *. v /. vmax)) in
     String.make (Stdlib.max 0 (Stdlib.min 40 cells)) '#'
   in
-  let cold_means = Metrics.Timeseries.bucket_means cold_ts in
-  let warm_means = Metrics.Timeseries.bucket_means warm_ts in
+  let bucket_means tl =
+    Array.map
+      (fun (b : Metrics.Timeline.bucket) -> b.mean)
+      (Metrics.Timeline.buckets tl)
+  in
+  let cold_means = bucket_means cold_tl in
+  let warm_means = bucket_means warm_tl in
   let vmax =
     Array.fold_left
       (fun acc v -> if Float.is_nan v then acc else Float.max acc v)

@@ -2,8 +2,9 @@
     time into a bounded array, with adjacent-bucket merging (doubling the
     bucket width) whenever a sample lands past the end. Memory is bounded
     by [capacity] at any run length; resolution halves each time the
-    recorded horizon doubles. Unlike {!Timeseries} (exact windows, grows
-    with the run) this is safe to leave on for arbitrarily long runs. *)
+    recorded horizon doubles, so it is safe to leave on for arbitrarily
+    long runs. Below capacity no bucket merges and the timeline is a
+    plain series of [interval]-wide windows. *)
 
 type t
 
