@@ -13,11 +13,8 @@
                                               sweep-parallel ablations on 4
                                               domains (0 = all cores);
                                               output identical to --jobs 1
-   Targets: table1 table2 figure3 figure4 table3 table4 table5 table6
-            ablation-policy ablation-locking ablation-consistency
-            ablation-protocol ablation-routing ablation-threshold
-            ablation-loss ablation-faults ablation-partition
-            ablation-batching breakdown micro *)
+   The targets, in run order, are the names in [all_targets] below;
+   `swala_sim list` describes each one. *)
 
 let seed = 42
 
