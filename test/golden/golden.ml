@@ -7,8 +7,10 @@
    identical; an intended change is accepted with [dune promote].
 
    Cases are built in-process from [Config.make] because some settings
-   (the strong protocol, [broadcast_latency]) have no CLI flag. Usage:
-   [golden.exe [DIR]] writes every case into DIR (default "."). *)
+   (the strong protocol, [broadcast_latency]) have no CLI flag. One more
+   case, [workload_traces], pins the trace generators themselves: one line
+   per generated trace with its parameters and the MD5 of every item.
+   Usage: [golden.exe [DIR]] writes every case into DIR (default "."). *)
 
 module C = Swala.Config
 module R = Swala.Cluster_runner
@@ -151,8 +153,96 @@ let render (r : R.result) =
     r.R.per_node_counters;
   Buffer.contents buf
 
+(* ------------------------------------------------------------------ *)
+(* Generator identity *)
+
+(* Every field of an item, the demand in hexadecimal so no float is
+   rounded: two traces render alike only if they are structurally equal. *)
+let render_item buf (item : Workload.Trace.item) =
+  match item.Workload.Trace.kind with
+  | Workload.Trace.File { path; bytes } ->
+      Printf.bprintf buf "%d F %s %d\n" item.Workload.Trace.id path bytes
+  | Workload.Trace.Cgi { script; args; demand; out_bytes } ->
+      Printf.bprintf buf "%d C %s %s %h %d\n" item.Workload.Trace.id script
+        (String.concat "&" (List.map (fun (k, v) -> k ^ "=" ^ v) args))
+        demand out_bytes
+
+let trace_digest trace =
+  let buf = Buffer.create 65536 in
+  List.iter (render_item buf) trace;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* A churn-style flash crowd (perfbench's churn-replicated-32 preset)
+   applied to a coop trace paced evenly over the scenario, the way the
+   cluster runner rewrites a stream's items. *)
+let crowd_stream ~seed =
+  let module S = Workload.Scenario in
+  let duration = 12. in
+  let sc =
+    S.make ~duration
+      ~flash:
+        (S.flash_crowd ~at:3. ~duration:3. ~decay:3. ~fraction:0.8 ~keys:8
+           ~zipf_s:1.0 ~demand:0.02 ())
+      ()
+  in
+  let trace =
+    Workload.Synthetic.coop ~seed ~n:4000 ~n_unique:2800 ~n_hot:24
+      ~zipf_s:1.1 ~demand:0.02 ()
+  in
+  let rng = Sim.Rng.create seed in
+  let n = float_of_int (List.length trace) in
+  List.map
+    (fun (item : Workload.Trace.item) ->
+      let now = duration *. float_of_int item.Workload.Trace.id /. n in
+      Option.value (S.rewrite sc ~rng ~now item) ~default:item)
+    trace
+
+(* The benchmark's trace shapes (perfbench/workloads.ml) at its sub-run
+   seeds, plus the all-miss and uncacheable generators. *)
+let workload_traces () =
+  let module Syn = Workload.Synthetic in
+  let seeds = [ 7000; 7001; 7002 ] in
+  List.concat_map
+    (fun seed ->
+      [
+        ( Printf.sprintf "adl_scaled seed=%d n=20000" seed,
+          fun () -> Syn.adl_scaled ~seed ~n:20_000 );
+        ( Printf.sprintf
+            "coop seed=%d n=20000 n_unique=5000 n_hot=24 zipf_s=1.1 \
+             demand=0.005"
+            seed,
+          fun () ->
+            Syn.coop ~seed ~n:20_000 ~n_unique:5_000 ~n_hot:24 ~zipf_s:1.1
+              ~demand:0.005 () );
+        ( Printf.sprintf
+            "coop seed=%d n=10000 n_unique=7000 n_hot=24 zipf_s=1.1 \
+             demand=0.02"
+            seed,
+          fun () ->
+            Syn.coop ~seed ~n:10_000 ~n_unique:7_000 ~n_hot:24 ~zipf_s:1.1
+              ~demand:0.02 () );
+        ( Printf.sprintf "flash-crowd rewrite seed=%d n=4000" seed,
+          fun () -> crowd_stream ~seed );
+      ])
+    seeds
+  @ [
+      ( "unique_cacheable n=500 demand=0.25",
+        fun () -> Syn.unique_cacheable ~n:500 ~demand:0.25 );
+      ("uncacheable n=500 demand=1", fun () -> Syn.uncacheable ~n:500 ~demand:1.0);
+    ]
+
+let write_workload_traces dir =
+  Out_channel.with_open_bin
+    (Filename.concat dir "workload_traces.out")
+    (fun oc ->
+      List.iter
+        (fun (name, gen) ->
+          Printf.fprintf oc "%s: %s\n" name (trace_digest (gen ())))
+        (workload_traces ()))
+
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
+  write_workload_traces dir;
   List.iter
     (fun (name, cfg, warmup, router) ->
       let r =
