@@ -35,8 +35,9 @@ type t = {
   flash : flash_crowd option;
   diurnal : diurnal option;
   tiers : tier array;
-  (* Precomputed at [make] so [rewrite] is draw-only on the replay path. *)
-  flash_zipf : Sim.Dist.Zipf.t option;
+  (* Precomputed at [make] so [rewrite] is draw-only on the replay path:
+     the crowd's popularity law and its [fc_keys] request kinds, by rank. *)
+  crowd : (Sim.Dist.Zipf.t * Trace.kind array) option;
 }
 
 let duration t = t.duration
@@ -95,6 +96,27 @@ let validate t =
     (List.length (List.sort_uniq compare names) = List.length names)
     "tier names must be distinct"
 
+let crowd_key_prefix = "crowd"
+
+let crowd_of f =
+  let demand = f.fc_demand and out_bytes = f.fc_out_bytes in
+  let kind rank =
+    Trace.Cgi
+      {
+        script = "/cgi-bin/query";
+        args =
+          [
+            ("q", Printf.sprintf "%s%d" crowd_key_prefix rank);
+            ("xd", Printf.sprintf "%.9g" demand);
+            ("xb", string_of_int out_bytes);
+          ];
+        demand;
+        out_bytes;
+      }
+  in
+  ( Sim.Dist.Zipf.make ~n:f.fc_keys ~s:f.fc_zipf_s,
+    Array.init f.fc_keys kind )
+
 let make ~duration ?flash ?diurnal ?(tiers = []) () =
   let t =
     {
@@ -102,14 +124,11 @@ let make ~duration ?flash ?diurnal ?(tiers = []) () =
       flash;
       diurnal;
       tiers = Array.of_list tiers;
-      flash_zipf =
-        Option.map
-          (fun f -> Sim.Dist.Zipf.make ~n:f.fc_keys ~s:f.fc_zipf_s)
-          flash;
+      crowd = None;
     }
   in
   validate t;
-  t
+  { t with crowd = Option.map crowd_of flash }
 
 (* ------------------------------------------------------------------ *)
 (* Phase schedule *)
@@ -155,8 +174,6 @@ let flash_intensity t ~now =
           f.fc_fraction *. (1. -. (into_decay /. f.fc_decay))
         else 0.
 
-let crowd_key_prefix = "crowd"
-
 let is_crowd_key key =
   (* Cache keys are "<script>?<args>"; a crowd query is recognised by its
      q= argument. *)
@@ -169,29 +186,10 @@ let rewrite t ~rng ~now item =
   let p = flash_intensity t ~now in
   if p <= 0. then None
   else
-    match (item.Trace.kind, t.flash, t.flash_zipf) with
-    | Trace.Cgi { out_bytes = _; _ }, Some f, Some zipf ->
-        if Sim.Rng.float rng < p then begin
-          let rank = Sim.Dist.Zipf.draw zipf rng in
-          let demand = f.fc_demand in
-          Some
-            {
-              Trace.id = item.Trace.id;
-              kind =
-                Trace.Cgi
-                  {
-                    script = "/cgi-bin/query";
-                    args =
-                      [
-                        ("q", Printf.sprintf "%s%d" crowd_key_prefix rank);
-                        ("xd", Printf.sprintf "%.9g" demand);
-                        ("xb", string_of_int f.fc_out_bytes);
-                      ];
-                    demand;
-                    out_bytes = f.fc_out_bytes;
-                  };
-            }
-        end
+    match (item.Trace.kind, t.crowd) with
+    | Trace.Cgi _, Some (zipf, kinds) ->
+        if Sim.Rng.float rng < p then
+          Some { item with Trace.kind = kinds.(Sim.Dist.Zipf.draw zipf rng) }
         else None
     | _ -> None
 

@@ -37,25 +37,28 @@ let query_script = "/cgi-bin/query"
 let unique_script = "/cgi-bin/unique"
 let private_script = "/cgi-bin/private"
 
-(* The "xd" arg carries the per-key demand so that replay against the server
-   model reproduces the trace's service times (see Cgi.Cost.From_query). *)
-let cgi_item ~id ~script ~qkey ~demand ~out_bytes =
-  {
-    Trace.id;
-    kind =
-      Trace.Cgi
-        {
-          script;
-          args =
-            [
-              ("q", qkey);
-              ("xd", Printf.sprintf "%.9g" demand);
-              ("xb", string_of_int out_bytes);
-            ];
-          demand;
-          out_bytes;
-        };
-  }
+(* The "xd" and "xb" args carry the per-key demand and output size so that
+   replay against the server model reproduces the trace's service times
+   (see Cgi.Cost.From_query). Generators format them once per distinct
+   value and share the list among every key that has it. *)
+let demand_arg demand = ("xd", Printf.sprintf "%.9g" demand)
+let size_arg out_bytes = ("xb", string_of_int out_bytes)
+let replay_args ~demand ~out_bytes = [ demand_arg demand; size_arg out_bytes ]
+
+let cgi_kind ~script ~qkey ~demand ~out_bytes ~replay =
+  Trace.Cgi { script; args = ("q", qkey) :: replay; demand; out_bytes }
+
+(* [interned n make] is [make] memoised over [0 .. n-1]: every repeat of
+   a key shares one physically equal, immutable kind. *)
+let interned n make =
+  let cache = Array.make n None in
+  fun k ->
+    match cache.(k) with
+    | Some kind -> kind
+    | None ->
+        let kind = make k in
+        cache.(k) <- Some kind;
+        kind
 
 let adl ~seed ?(params = default_adl) () =
   let p = params in
@@ -78,40 +81,41 @@ let adl ~seed ?(params = default_adl) () =
         int_of_float
           (Sim.Dist.lognormal_mean_cv rng_size ~mean:12_000. ~cv:2.0))
   in
+  let hot_kind =
+    interned p.n_hot (fun k ->
+        let demand = hot_demand.(k) in
+        cgi_kind ~script:query_script
+          ~qkey:(Printf.sprintf "hot%04d" k)
+          ~demand ~out_bytes:p.cgi_out_bytes
+          ~replay:(replay_args ~demand ~out_bytes:p.cgi_out_bytes))
+  in
+  let file_kind =
+    interned p.n_files (fun k ->
+        Trace.File
+          { path = Printf.sprintf "/adl/doc%05d.html" k; bytes = file_bytes.(k) })
+  in
+  (* Cold queries differ in demand, so only the "xb" tail is shared. *)
+  let xb = [ size_arg p.cgi_out_bytes ] in
   let next_cold = ref 0 in
-  let items =
-    List.init p.n_requests (fun id ->
+  List.init p.n_requests (fun id ->
+      let kind =
         if Sim.Rng.float rng_kind < p.cgi_fraction then
-          if Sim.Rng.float rng_kind < p.p_hot then begin
-            let k = Sim.Dist.Zipf.draw hot_pop rng_hot in
-            cgi_item ~id ~script:query_script
-              ~qkey:(Printf.sprintf "hot%04d" k)
-              ~demand:hot_demand.(k) ~out_bytes:p.cgi_out_bytes
-          end
+          if Sim.Rng.float rng_kind < p.p_hot then
+            hot_kind (Sim.Dist.Zipf.draw hot_pop rng_hot)
           else begin
             incr next_cold;
             let demand =
               Sim.Dist.lognormal_mean_cv rng_cold ~mean:p.cold_mean
                 ~cv:p.cold_cv
             in
-            cgi_item ~id ~script:query_script
+            cgi_kind ~script:query_script
               ~qkey:(Printf.sprintf "cold%06d" !next_cold)
               ~demand ~out_bytes:p.cgi_out_bytes
+              ~replay:(demand_arg demand :: xb)
           end
-        else begin
-          let k = Sim.Dist.Zipf.draw file_pop rng_file in
-          {
-            Trace.id;
-            kind =
-              Trace.File
-                {
-                  path = Printf.sprintf "/adl/doc%05d.html" k;
-                  bytes = file_bytes.(k);
-                };
-          }
-        end)
-  in
-  items
+        else file_kind (Sim.Dist.Zipf.draw file_pop rng_file)
+      in
+      { Trace.id; kind })
 
 let adl_scaled ~seed ~n =
   let scale = float_of_int n /. float_of_int default_adl.n_requests in
@@ -147,40 +151,53 @@ let coop ~seed ~n ~n_unique ?(n_hot = 120) ?(zipf_s = 0.8) ?(demand = 1.0)
   (* Position each occurrence on a virtual timeline; repeats of a key follow
      its first occurrence at exponentially-distributed gaps of mean
      [locality] (fraction of the trace), clustering references. *)
-  let placed = ref [] in
+  let pos = Array.make n 0. and key = Array.make n 0 in
+  let i = ref 0 in
   for k = 0 to n_unique - 1 do
-    let base = Sim.Rng.float rng_pos in
-    let pos = ref base in
+    let p = ref (Sim.Rng.float rng_pos) in
     for _ = 1 to occurrences.(k) do
-      placed := (!pos, k) :: !placed;
-      pos := !pos +. Sim.Dist.exponential rng_pos ~mean:locality
+      pos.(!i) <- !p;
+      key.(!i) <- k;
+      incr i;
+      p := !p +. Sim.Dist.exponential rng_pos ~mean:locality
     done
   done;
-  let arr = Array.of_list !placed in
-  Array.sort
-    (fun (p1, k1) (p2, k2) ->
-      let c = Float.compare p1 p2 in
-      if c <> 0 then c else Int.compare k1 k2)
-    arr;
-  Array.to_list
-    (Array.mapi
-       (fun id (_, k) ->
-         cgi_item ~id ~script:query_script
-           ~qkey:(Printf.sprintf "key%05d" k)
-           ~demand ~out_bytes)
-       arr)
+  (* Trace order is ascending (position, key). That order is total, and
+     equal pairs make equal items, so the trace is the same whatever the
+     sort's tie order. *)
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let c = Float.compare pos.(a) pos.(b) in
+      if c <> 0 then c else Int.compare key.(a) key.(b))
+    order;
+  let replay = replay_args ~demand ~out_bytes in
+  let kinds =
+    Array.init n_unique (fun k ->
+        cgi_kind ~script:query_script
+          ~qkey:(Printf.sprintf "key%05d" k)
+          ~demand ~out_bytes ~replay)
+  in
+  List.init n (fun id -> { Trace.id; kind = kinds.(key.(order.(id))) })
+
+(* One request per key: nothing repeats, so only the replay args are
+   shared. *)
+let one_per_key ~script ~prefix ~n ~demand =
+  let replay = replay_args ~demand ~out_bytes:4096 in
+  List.init n (fun id ->
+      {
+        Trace.id;
+        kind =
+          cgi_kind ~script
+            ~qkey:(Printf.sprintf "%s%06d" prefix id)
+            ~demand ~out_bytes:4096 ~replay;
+      })
 
 let unique_cacheable ~n ~demand =
-  List.init n (fun id ->
-      cgi_item ~id ~script:unique_script
-        ~qkey:(Printf.sprintf "u%06d" id)
-        ~demand ~out_bytes:4096)
+  one_per_key ~script:unique_script ~prefix:"u" ~n ~demand
 
 let uncacheable ~n ~demand =
-  List.init n (fun id ->
-      cgi_item ~id ~script:private_script
-        ~qkey:(Printf.sprintf "p%06d" id)
-        ~demand ~out_bytes:4096)
+  one_per_key ~script:private_script ~prefix:"p" ~n ~demand
 
 let register_scripts registry =
   let from_query = Cgi.Cost.From_query { default = 1.0 } in
