@@ -91,9 +91,17 @@ let add_series_row tbl sv =
       sparkline sv.sv_values;
     ]
 
+(* The [gc.*] probes read the host allocator, so they differ between two
+   builds of the same simulation. The tables print only simulated series,
+   which keeps a run's report reproducible; the metrics JSON and the
+   telemetry CSV keep the gc series. *)
+let is_host_series sv = String.starts_with ~prefix:"gc." sv.sv_name
+
 let timelines_table_of ~title views =
   let tbl = Metrics.Table.create ~title ~columns:timeline_columns in
-  List.iter (add_series_row tbl) views;
+  List.iter
+    (fun sv -> if not (is_host_series sv) then add_series_row tbl sv)
+    views;
   tbl
 
 let kind_label = function

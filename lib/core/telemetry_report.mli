@@ -4,9 +4,12 @@
     printing from the live structures, and the [report] subcommand from a
     parsed metrics-JSON payload. *)
 
-(** [timelines_table reg] tabulates every registered probe: kind,
-    non-empty bucket count, mean/min/max/last of the rendered values, and
-    a sparkline over the buckets (space = empty bucket). *)
+(** [timelines_table reg] tabulates every registered probe of the
+    simulation: kind, non-empty bucket count, mean/min/max/last of the
+    rendered values, and a sparkline over the buckets (space = empty
+    bucket). The [gc.*] probes, which read the host allocator, are left
+    out here and in {!render_json_report}, so the table is the same for
+    every build of the same simulation. *)
 val timelines_table : Metrics.Registry.t -> Metrics.Table.t
 
 (** [incidents_table incidents] tabulates incident records in time
