@@ -23,6 +23,10 @@ val nodes : t -> int
 (** [vnodes t] is the points-per-node parameter. *)
 val vnodes : t -> int
 
+(** [points t] is a fresh array of the ring's [nodes * vnodes] points as
+    [(hash, node)], clockwise: ascending hash, ties by node id. *)
+val points : t -> (int * int) array
+
 (** [owner t key] is the key's home node — the physical node owning the
     first ring point at or clockwise after [hash key]. O(log points). *)
 val owner : t -> string -> int

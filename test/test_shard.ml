@@ -3,7 +3,16 @@
    hysteresis, the replicated plane's untouched default path, shard
    handoff across a crash/restart window, partition -> heal shard
    convergence, lookup-path conservation, a 50-seed sweep, and the
-   stale-hint invalidation regression. *)
+   stale-hint invalidation regression.
+
+   QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
+   knob is honoured here by hand. *)
+
+let count =
+  match Sys.getenv_opt "QCHECK_COUNT" with
+  | Some s -> (
+      match int_of_string_opt s with Some n when n > 0 -> n | _ -> 200)
+  | None -> 200
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -89,6 +98,129 @@ let test_ring_spread () =
         Alcotest.failf "node %d homes %d of 8000 keys (mean %d): vnodes \
                         failed to smooth the ring" i n mean)
     spread
+
+(* The ring as it was first written — points as a boxed (hash, node)
+   array sorted by [compare], labels hashed through [Printf.sprintf],
+   lookups marking a [nodes]-long array — kept as the oracle that the
+   flat-array ring must match point for point and answer for answer. *)
+module Oracle_ring = struct
+  type t = {
+    points : (int * int) array;  (* (hash, node), sorted by hash *)
+    nodes : int;
+    vnodes : int;
+  }
+
+  let fnv1a s =
+    let h = ref 0x811c9dc5 in
+    String.iter
+      (fun c ->
+        h := !h lxor Char.code c;
+        h := !h * 0x01000193 land 0x3FFFFFFFFFFFFFF)
+      s;
+    !h
+
+  let create ~nodes ~vnodes =
+    if nodes < 1 then invalid_arg "Ring.create: nodes must be >= 1";
+    if vnodes < 1 then invalid_arg "Ring.create: vnodes must be >= 1";
+    let points = Array.make (nodes * vnodes) (0, 0) in
+    for n = 0 to nodes - 1 do
+      for v = 0 to vnodes - 1 do
+        points.((n * vnodes) + v) <- (fnv1a (Printf.sprintf "vn:%d:%d" n v), n)
+      done
+    done;
+    Array.sort compare points;
+    { points; nodes; vnodes }
+
+  let first_at_or_after t h =
+    let n = Array.length t.points in
+    if h > fst t.points.(n - 1) then 0
+    else begin
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if fst t.points.(mid) >= h then hi := mid else lo := mid + 1
+      done;
+      !lo
+    end
+
+  let owner t key =
+    snd t.points.(first_at_or_after t (fnv1a key))
+
+  let successors t key ~k =
+    if k < 1 then invalid_arg "Ring.successors: k must be >= 1";
+    let n = Array.length t.points in
+    let start = first_at_or_after t (fnv1a key) in
+    let seen = Array.make t.nodes false in
+    let out = ref [] in
+    let found = ref 0 in
+    let i = ref 0 in
+    while !found < k && !i < n do
+      let node = snd t.points.((start + !i) mod n) in
+      if not seen.(node) then begin
+        seen.(node) <- true;
+        out := node :: !out;
+        incr found
+      end;
+      incr i
+    done;
+    List.rev !out
+
+  let acting_owner t ~up key =
+    let n = Array.length t.points in
+    let start = first_at_or_after t (fnv1a key) in
+    let seen = Array.make t.nodes false in
+    let rec go i =
+      if i >= n then None
+      else
+        let node = snd t.points.((start + i) mod n) in
+        if seen.(node) then go (i + 1)
+        else if up node then Some node
+        else begin
+          seen.(node) <- true;
+          go (i + 1)
+        end
+    in
+    go 0
+end
+
+(* Random rings, keys, liveness views (all-down among them) and replica
+   counts up to two past the node count. *)
+let ring_case_gen =
+  QCheck.Gen.(
+    int_range 1 24 >>= fun nodes ->
+    int_range 1 48 >>= fun vnodes ->
+    list_size (int_range 1 30) (string_size ~gen:printable (int_range 0 24))
+    >>= fun keys ->
+    oneof
+      [
+        return (Array.make nodes false);
+        return (Array.make nodes true);
+        array_size (return nodes) bool;
+      ]
+    >>= fun up ->
+    int_range 1 (nodes + 2) >|= fun k -> (nodes, vnodes, keys, up, k))
+
+let ring_case_print (nodes, vnodes, keys, up, k) =
+  Printf.sprintf "nodes=%d vnodes=%d k=%d up=[%s] keys=[%s]" nodes vnodes k
+    (String.concat ";" (Array.to_list (Array.map string_of_bool up)))
+    (String.concat ";" (List.map String.escaped keys))
+
+let prop_ring_matches_oracle =
+  QCheck.Test.make ~count ~name:"ring = oracle: points, owners, successors"
+    (QCheck.make ~print:ring_case_print ring_case_gen)
+    (fun (nodes, vnodes, keys, up, k) ->
+      let r = Cache.Ring.create ~nodes ~vnodes
+      and o = Oracle_ring.create ~nodes ~vnodes in
+      let up i = up.(i) in
+      Cache.Ring.points r = o.Oracle_ring.points
+      && List.for_all
+           (fun key ->
+             Cache.Ring.owner r key = Oracle_ring.owner o key
+             && Cache.Ring.successors r key ~k
+                = Oracle_ring.successors o key ~k
+             && Cache.Ring.acting_owner r ~up key
+                = Oracle_ring.acting_owner o ~up key)
+           keys)
 
 (* ------------------------------------------------------------------ *)
 (* Configuration validation *)
@@ -553,6 +685,7 @@ let () =
             test_ring_acting_owner;
           Alcotest.test_case "vnodes smooth the spread" `Quick
             test_ring_spread;
+          QCheck_alcotest.to_alcotest prop_ring_matches_oracle;
         ] );
       ( "config",
         [ Alcotest.test_case "sharded knobs are validated" `Quick
