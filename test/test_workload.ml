@@ -1,5 +1,15 @@
 (* Tests for workload generation and analysis: traces, log format,
-   WebStone mix, synthetic generators, Table-1 analyzer. *)
+   WebStone mix, synthetic generators, Table-1 analyzer, and the interned
+   generators checked against the copy-per-request ones they replaced.
+
+   QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
+   knob is honoured here by hand. *)
+
+let count =
+  match Sys.getenv_opt "QCHECK_COUNT" with
+  | Some s -> (
+      match int_of_string_opt s with Some n when n > 0 -> n | _ -> 200)
+  | None -> 200
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -498,6 +508,295 @@ let prop_upper_bound_bounds_repeats =
       Workload.Analyzer.upper_bound_hits trace = n - unique)
 
 (* ------------------------------------------------------------------ *)
+(* Interned generators vs the copy-per-request oracle *)
+
+(* The generators as they were before kinds were interned: every request
+   builds its own key string, "xd"/"xb" strings and args list, and coop
+   sorts a list of boxed (position, key) tuples. [rewrite] takes the
+   crowd's Zipf law that [Scenario.make] used to keep in the scenario. *)
+module Oracle = struct
+  open Workload
+  open Synthetic
+
+  let query_script = "/cgi-bin/query"
+
+  let cgi_item ~id ~script ~qkey ~demand ~out_bytes =
+    {
+      Trace.id;
+      kind =
+        Trace.Cgi
+          {
+            script;
+            args =
+              [
+                ("q", qkey);
+                ("xd", Printf.sprintf "%.9g" demand);
+                ("xb", string_of_int out_bytes);
+              ];
+            demand;
+            out_bytes;
+          };
+    }
+
+  let adl ~seed ?(params = default_adl) () =
+    let p = params in
+    if p.n_requests < 1 then invalid_arg "Synthetic.adl: n_requests must be >= 1";
+    let rng = Sim.Rng.create seed in
+    let rng_kind = Sim.Rng.split rng in
+    let rng_hot = Sim.Rng.split rng in
+    let rng_cold = Sim.Rng.split rng in
+    let rng_file = Sim.Rng.split rng in
+    let rng_size = Sim.Rng.split rng in
+    (* Hot queries: per-key demand fixed at creation. *)
+    let hot_demand =
+      Array.init p.n_hot (fun _ ->
+          Sim.Dist.lognormal_mean_cv rng_hot ~mean:p.hot_mean ~cv:p.hot_cv)
+    in
+    let hot_pop = Sim.Dist.Zipf.make ~n:p.n_hot ~s:p.hot_zipf_s in
+    let file_pop = Sim.Dist.Zipf.make ~n:p.n_files ~s:p.file_zipf_s in
+    let file_bytes =
+      Array.init p.n_files (fun _ ->
+          int_of_float
+            (Sim.Dist.lognormal_mean_cv rng_size ~mean:12_000. ~cv:2.0))
+    in
+    let next_cold = ref 0 in
+    let items =
+      List.init p.n_requests (fun id ->
+          if Sim.Rng.float rng_kind < p.cgi_fraction then
+            if Sim.Rng.float rng_kind < p.p_hot then begin
+              let k = Sim.Dist.Zipf.draw hot_pop rng_hot in
+              cgi_item ~id ~script:query_script
+                ~qkey:(Printf.sprintf "hot%04d" k)
+                ~demand:hot_demand.(k) ~out_bytes:p.cgi_out_bytes
+            end
+            else begin
+              incr next_cold;
+              let demand =
+                Sim.Dist.lognormal_mean_cv rng_cold ~mean:p.cold_mean
+                  ~cv:p.cold_cv
+              in
+              cgi_item ~id ~script:query_script
+                ~qkey:(Printf.sprintf "cold%06d" !next_cold)
+                ~demand ~out_bytes:p.cgi_out_bytes
+            end
+          else begin
+            let k = Sim.Dist.Zipf.draw file_pop rng_file in
+            {
+              Trace.id;
+              kind =
+                Trace.File
+                  {
+                    path = Printf.sprintf "/adl/doc%05d.html" k;
+                    bytes = file_bytes.(k);
+                  };
+            }
+          end)
+    in
+    items
+
+  let coop ~seed ~n ~n_unique ?(n_hot = 120) ?(zipf_s = 0.8) ?(demand = 1.0)
+      ?(out_bytes = 4096) ?(locality = 1.0) () =
+    if n_unique > n then invalid_arg "Synthetic.coop: n_unique > n";
+    if n_hot > n_unique then invalid_arg "Synthetic.coop: n_hot > n_unique";
+    if n_hot < 1 then invalid_arg "Synthetic.coop: n_hot must be >= 1";
+    if locality <= 0. then invalid_arg "Synthetic.coop: locality must be > 0";
+    let rng = Sim.Rng.create seed in
+    let rng_rep = Sim.Rng.split rng in
+    let rng_pos = Sim.Rng.split rng in
+    let n_repeats = n - n_unique in
+    let occurrences = Array.make n_unique 1 in
+    let hot_pop = Sim.Dist.Zipf.make ~n:n_hot ~s:zipf_s in
+    for _ = 1 to n_repeats do
+      let k = Sim.Dist.Zipf.draw hot_pop rng_rep in
+      occurrences.(k) <- occurrences.(k) + 1
+    done;
+    let placed = ref [] in
+    for k = 0 to n_unique - 1 do
+      let base = Sim.Rng.float rng_pos in
+      let pos = ref base in
+      for _ = 1 to occurrences.(k) do
+        placed := (!pos, k) :: !placed;
+        pos := !pos +. Sim.Dist.exponential rng_pos ~mean:locality
+      done
+    done;
+    let arr = Array.of_list !placed in
+    Array.sort
+      (fun (p1, k1) (p2, k2) ->
+        let c = Float.compare p1 p2 in
+        if c <> 0 then c else Int.compare k1 k2)
+      arr;
+    Array.to_list
+      (Array.mapi
+         (fun id (_, k) ->
+           cgi_item ~id ~script:query_script
+             ~qkey:(Printf.sprintf "key%05d" k)
+             ~demand ~out_bytes)
+         arr)
+
+  let rewrite t zipf ~rng ~now item =
+    let p = Scenario.flash_intensity t ~now in
+    if p <= 0. then None
+    else
+      match (item.Trace.kind, Scenario.flash t, Some zipf) with
+      | Trace.Cgi { out_bytes = _; _ }, Some f, Some zipf ->
+          if Sim.Rng.float rng < p then begin
+            let rank = Sim.Dist.Zipf.draw zipf rng in
+            let demand = f.Scenario.fc_demand in
+            Some
+              {
+                Trace.id = item.Trace.id;
+                kind =
+                  Trace.Cgi
+                    {
+                      script = "/cgi-bin/query";
+                      args =
+                        [
+                          ("q", Printf.sprintf "%s%d" "crowd" rank);
+                          ("xd", Printf.sprintf "%.9g" demand);
+                          ("xb", string_of_int f.Scenario.fc_out_bytes);
+                        ];
+                      demand;
+                      out_bytes = f.Scenario.fc_out_bytes;
+                    };
+              }
+          end
+          else None
+      | _ -> None
+end
+
+(* coop's shape, with the edges n_unique = n, n_hot = n_unique and n = 1
+   drawn on purpose, and locality both clustered (< 1) and uniform. *)
+let coop_args_gen =
+  QCheck.Gen.(
+    int_range 0 1_000_000 >>= fun seed ->
+    oneof [ return 1; int_range 1 40; int_range 1 3000 ] >>= fun n ->
+    oneof [ return n; int_range 1 n ] >>= fun n_unique ->
+    oneof [ return n_unique; return 1; int_range 1 n_unique ] >>= fun n_hot ->
+    float_range 0. 1.5 >>= fun zipf_s ->
+    oneof [ return 1.0; float_range 0.001 0.999 ] >>= fun locality ->
+    float_range 0.001 3. >>= fun demand ->
+    int_range 0 100_000 >|= fun out_bytes ->
+    (seed, n, n_unique, n_hot, zipf_s, locality, demand, out_bytes))
+
+let coop_args_print (seed, n, n_unique, n_hot, zipf_s, locality, demand, out_bytes)
+    =
+  Printf.sprintf
+    "seed=%d n=%d n_unique=%d n_hot=%d zipf_s=%h locality=%h demand=%h \
+     out_bytes=%d"
+    seed n n_unique n_hot zipf_s locality demand out_bytes
+
+let prop_coop_matches_oracle =
+  QCheck.Test.make ~count ~name:"coop = copy-per-request oracle"
+    (QCheck.make ~print:coop_args_print coop_args_gen)
+    (fun (seed, n, n_unique, n_hot, zipf_s, locality, demand, out_bytes) ->
+      Workload.Synthetic.coop ~seed ~n ~n_unique ~n_hot ~zipf_s ~locality
+        ~demand ~out_bytes ()
+      = Oracle.coop ~seed ~n ~n_unique ~n_hot ~zipf_s ~locality ~demand
+          ~out_bytes ())
+
+let adl_params_gen =
+  QCheck.Gen.(
+    int_range 0 1_000_000 >>= fun seed ->
+    oneof [ return 1; int_range 1 3000 ] >>= fun n_requests ->
+    float_range 0. 1. >>= fun cgi_fraction ->
+    int_range 1 60 >>= fun n_hot ->
+    float_range 0. 1. >>= fun p_hot ->
+    int_range 1 200 >>= fun n_files ->
+    int_range 0 20_000 >|= fun cgi_out_bytes ->
+    ( seed,
+      {
+        Workload.Synthetic.default_adl with
+        n_requests;
+        cgi_fraction;
+        n_hot;
+        p_hot;
+        n_files;
+        cgi_out_bytes;
+      } ))
+
+let adl_params_print (seed, (p : Workload.Synthetic.adl_params)) =
+  Printf.sprintf
+    "seed=%d n_requests=%d cgi_fraction=%h n_hot=%d p_hot=%h n_files=%d \
+     cgi_out_bytes=%d"
+    seed p.n_requests p.cgi_fraction p.n_hot p.p_hot p.n_files p.cgi_out_bytes
+
+let prop_adl_matches_oracle =
+  QCheck.Test.make ~count ~name:"adl = copy-per-request oracle"
+    (QCheck.make ~print:adl_params_print adl_params_gen)
+    (fun (seed, params) ->
+      Workload.Synthetic.adl ~seed ~params ()
+      = Oracle.adl ~seed ~params ())
+
+(* A flash crowd over a coop trace, every item offered to [rewrite] at an
+   instant spread across the scenario, from the same rng seed. *)
+let prop_rewrite_matches_oracle =
+  QCheck.Test.make ~count ~name:"rewrite = copy-per-request oracle"
+    QCheck.(
+      make
+        ~print:(fun (seed, keys, fraction, demand, out_bytes) ->
+          Printf.sprintf "seed=%d keys=%d fraction=%h demand=%h out_bytes=%d"
+            seed keys fraction demand out_bytes)
+        Gen.(
+          quad (int_range 0 1_000_000) (int_range 1 40) (float_range 0. 1.)
+            (float_range 0.001 2.)
+          >>= fun (seed, keys, fraction, demand) ->
+          int_range 0 100_000 >|= fun out_bytes ->
+          (seed, keys, fraction, demand, out_bytes)))
+    (fun (seed, keys, fraction, demand, out_bytes) ->
+      let module S = Workload.Scenario in
+      let duration = 12. in
+      let f =
+        S.flash_crowd ~at:3. ~duration:3. ~decay:3. ~fraction ~keys ~demand
+          ~out_bytes ()
+      in
+      let sc = S.make ~duration ~flash:f () in
+      let zipf = Sim.Dist.Zipf.make ~n:keys ~s:f.S.fc_zipf_s in
+      let trace =
+        Workload.Synthetic.adl_scaled ~seed ~n:300
+        @ Workload.Synthetic.coop ~seed ~n:300 ~n_unique:100 ~n_hot:10 ()
+      in
+      let rng_new = Sim.Rng.create seed and rng_old = Sim.Rng.create seed in
+      List.for_all
+        (fun (item : Workload.Trace.item) ->
+          let now = duration *. float_of_int item.Workload.Trace.id /. 300. in
+          S.rewrite sc ~rng:rng_new ~now item
+          = Oracle.rewrite sc zipf ~rng:rng_old ~now item)
+        trace)
+
+(* Repeats share their kind physically, so a trace costs one item record
+   and list cell per request plus one kind per distinct request. The
+   copy-per-request generators held about 36 (coop) and 24 (adl) words
+   per item here. *)
+let words_per_item trace =
+  float_of_int (Obj.reachable_words (Obj.repr trace))
+  /. float_of_int (List.length trace)
+
+let test_trace_words_bounded () =
+  let coop = Workload.Synthetic.coop ~seed:7 ~n:20_000 ~n_unique:5_000 () in
+  let w = words_per_item coop in
+  if w > 12. then Alcotest.failf "coop holds %.1f words per item (> 12)" w;
+  let adl = Workload.Synthetic.adl_scaled ~seed:7 ~n:20_000 in
+  let w = words_per_item adl in
+  if w > 18. then Alcotest.failf "adl_scaled holds %.1f words per item (> 18)" w
+
+let test_repeats_share_kind () =
+  let check what trace =
+    let first = Hashtbl.create 64 in
+    List.iter
+      (fun (item : Workload.Trace.item) ->
+        let key = Workload.Trace.key item in
+        match Hashtbl.find_opt first key with
+        | None -> Hashtbl.add first key item.Workload.Trace.kind
+        | Some kind ->
+            if kind != item.Workload.Trace.kind then
+              Alcotest.failf "%s: repeat %d of %s has its own kind" what
+                item.Workload.Trace.id key)
+      trace
+  in
+  check "coop" (Workload.Synthetic.coop ~seed:3 ~n:2000 ~n_unique:500 ());
+  check "adl" (Workload.Synthetic.adl_scaled ~seed:3 ~n:4000)
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -569,4 +868,17 @@ let () =
           Alcotest.test_case "empty trace" `Quick test_analyzer_empty_trace;
         ] );
       qsuite "analyzer-props" [ prop_upper_bound_bounds_repeats ];
+      qsuite "interning-props"
+        [
+          prop_coop_matches_oracle;
+          prop_adl_matches_oracle;
+          prop_rewrite_matches_oracle;
+        ];
+      ( "interning",
+        [
+          Alcotest.test_case "bounded words per item" `Quick
+            test_trace_words_bounded;
+          Alcotest.test_case "repeats share one kind" `Quick
+            test_repeats_share_kind;
+        ] );
     ]
