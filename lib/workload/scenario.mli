@@ -126,7 +126,8 @@ val flash_intensity : t -> now:float -> float
     when the item passes through unchanged. Static files are never
     redirected, and no random numbers are drawn while the intensity is
     zero — so outside the crowd the reference stream is exactly the base
-    trace's. *)
+    trace's. The [fc_keys] crowd kinds are built once by {!make}, so a
+    rewrite allocates only the new item record. *)
 val rewrite : t -> rng:Sim.Rng.t -> now:float -> Trace.item -> Trace.item option
 
 (** [is_crowd_key key] recognises a cache key produced by {!rewrite} —

@@ -20,7 +20,16 @@
     requests of which exactly 1,122 are unique. {!coop} builds traces with
     exact request/unique counts, an adjustable hot-set size, Zipf repeat
     skew, and a temporal-locality knob that clusters repeats of a key near
-    each other in trace order (an LRU-stack-like reference stream). *)
+    each other in trace order (an LRU-stack-like reference stream).
+
+    {2 Memory}
+
+    Every repeat of a key shares one immutable {!Trace.kind}: {!coop}
+    builds one per key, {!adl} one per hot query and per document, and
+    the ["xd"]/["xb"] replay strings are formatted once wherever demand
+    and size are constant. A trace therefore costs O(n + unique keys)
+    words: about 9.5 words per item for a 20k-request, 5k-key {!coop}
+    trace and about 16 for [adl_scaled ~n:20000]. *)
 
 type adl_params = {
   n_requests : int;

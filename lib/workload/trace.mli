@@ -4,7 +4,13 @@
     its CGI would take — so the same trace can be analysed offline (Table 1)
     and replayed against the simulated cluster (Figure 4) with identical
     service times. All repeats of the same key carry the same demand, like
-    re-running the same query against a read-only digital library. *)
+    re-running the same query against a read-only digital library.
+
+    Kinds are immutable, so the generators ({!Synthetic}, and
+    {!Scenario.rewrite}'s crowd keys) build each distinct request's kind
+    once and share it, physically, among all its repeats: a trace costs
+    O(n + unique keys) words, about six per item beyond the distinct
+    kinds. Compare kinds with [=], never with [==]. *)
 
 type kind =
   | File of { path : string; bytes : int }
